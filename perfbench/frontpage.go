@@ -67,7 +67,9 @@ type frontpage struct {
 	phases   []webfront.PhaseTimes
 }
 
-var patientIDs = regexp.MustCompile(`\b\d{8}\b`)
+// patientIDs matches every id the registry issues: "%08d" of numbers
+// from 30000000 up to about 130000000, so eight or nine digits.
+var patientIDs = regexp.MustCompile(`\b\d{8,9}\b`)
 
 func newFrontpage(patients, n int) (*frontpage, error) {
 	f := &frontpage{log: newOpLog(n), accounts: make(map[string]*account), foreign: make(map[string]bool)}
@@ -152,13 +154,15 @@ func (f *frontpage) close() {
 	f.d.Stop()
 }
 
-// mixBlock is the request mix per hundred requests, by kind.
-var mixBlock = [...]int{reqFront: 40, reqRecords: 20, reqDetail: 20, reqCompare: 10, reqCross: 10}
+// mixBlock is the request mix per forty requests, by kind: the four own
+// kinds the workload names in even shares, and a tenth cross-MDT
+// requests. No measured traffic of the portal exists to weight them by.
+var mixBlock = [...]int{reqFront: 9, reqRecords: 9, reqDetail: 9, reqCompare: 9, reqCross: 4}
 
-// mix draws the seeded request sequence. Every block of a hundred
-// requests holds the same number of each kind, in seeded order, and the
-// requests go round the provisioned accounts in turn, so that seeds
-// differ in order and targets but not in how much work a second holds.
+// mix draws the seeded request sequence. The requests go round the
+// provisioned accounts in turn, and every forty requests of an account
+// hold mixBlock's kinds in seeded order, so that seeds differ in order
+// and targets but not in how much work a run holds.
 func (f *frontpage) mix(seed int64, n int) []frontReq {
 	rnd := rand.New(rand.NewSource(seed))
 	var block []int
@@ -167,13 +171,18 @@ func (f *frontpage) mix(seed int64, n int) []frontReq {
 			block = append(block, k)
 		}
 	}
+	kinds := make([][]int, len(f.users)) // per account
+	for u := range kinds {
+		kinds[u] = append([]int(nil), block...)
+	}
 	reqs := make([]frontReq, n)
 	for i := range reqs {
-		if i%len(block) == 0 {
-			rnd.Shuffle(len(block), func(x, y int) { block[x], block[y] = block[y], block[x] })
+		u, j := i%len(f.users), i/len(f.users)%len(block)
+		if j == 0 {
+			rnd.Shuffle(len(block), func(x, y int) { kinds[u][x], kinds[u][y] = kinds[u][y], kinds[u][x] })
 		}
-		a := f.accounts[f.users[i%len(f.users)]]
-		r := frontReq{user: a.m.ID, kind: block[i%len(block)]}
+		a := f.accounts[f.users[u]]
+		r := frontReq{user: a.m.ID, kind: kinds[u][j]}
 		if r.kind == reqDetail && len(a.pids) == 0 {
 			r.kind = reqRecords
 		}

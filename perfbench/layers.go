@@ -110,6 +110,7 @@ func (lv layerValues) metrics() []metric {
 // setEndToEnd records a run's end-to-end figures: the gated metrics in
 // table order, and the latency p50, which is reported but not gated.
 func (r *report) setEndToEnd(setup []float64, latP50, cpuPerOp, goodput float64) {
+	r.notes = append(r.notes, fmt.Sprintf("set-ups %.4f s", setup))
 	vals := []float64{median(setup), cpuPerOp, goodput, peakRSSMB()}
 	r.e2e = make([]metric, len(endToEnd))
 	for i, e := range endToEnd {

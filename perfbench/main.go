@@ -20,11 +20,15 @@
 package main
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
@@ -44,7 +48,7 @@ var workloads = []workload{
 	{"fanout", "trigger to producer engine to 100 subscriptions on one connection: routing, clearance, EncodeImage, consumer decode and engine dispatch dominate", runFanout},
 	{"ingest", "windowed producer at fan-out 1 over 64 topics, 64 B-16 KiB bodies, half selected: SendImage, server decode, endorse check and selector dominate", runIngest},
 	{"durable-catchup", "group replay of a reopened 200k-record SyncBatch journal beside live appends: journal Read, clearance-at-read and EncodeImageOffset dominate", runDurable},
-	{"frontpage", "open-loop HTTP mix over every MDT account of a deployed portal, cross-MDT requests refused: webfront, taint, template and docstore dominate", runFrontpage},
+	{"frontpage", "HTTP mix over every MDT account of a deployed portal: front page, records, detail and region compare in even shares (none measured), 10% cross-MDT refused; webfront, taint, template, docstore dominate", runFrontpage},
 }
 
 // env is what a workload run receives from the command line.
@@ -52,14 +56,21 @@ type env struct {
 	seed    int64
 	seconds float64
 	trace   bool
-	// scale shrinks rates and data sizes for smoke tests; 1 is the
-	// benchmark proper.
+	// scale shrinks rates and data sizes for smoke tests; the command
+	// line always runs at 1.
 	scale float64
 	// dir is a scratch directory the workload may fill; removed at exit.
 	dir string
-	// start is when the process entered main; the first set-up's clock
-	// starts here.
+	// start is when the process entered main.
 	start time.Time
+	// setupArgs are the arguments that rerun this workload's set-up in a
+	// fresh process of this program (see coldSetup); nil times the
+	// in-process set-up instead.
+	setupArgs []string
+	// setupOnly makes the run set its system up, print setupReady to out,
+	// tear it down and end with errSetupOnly.
+	setupOnly bool
+	out       io.Writer
 }
 
 // measure is the measured window's length.
@@ -112,8 +123,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "input seed")
 	seconds := fs.Float64("seconds", 10, "measured seconds")
 	trace := fs.Int("trace", 0, "1 records spans and reports per-layer metrics")
-	scale := fs.Float64("scale", 1, "rate and size multiplier (tests use small values)")
 	dir := fs.String("dir", filepath.Join(".bench_build", "perfbench"), "scratch directory")
+	setupOnly := fs.Bool("setup-only", false, "set the workload up, report when it is up and exit (how setup_s is measured)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -123,7 +134,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			w = &workloads[i]
 		}
 	}
-	if w == nil || *seconds <= 0 || *scale <= 0 || (*trace != 0 && *trace != 1) {
+	if w == nil || *seconds <= 0 || (*trace != 0 && *trace != 1) {
 		fmt.Fprintf(stderr, "perfbench: need --workload one of %s, --seconds > 0, --trace 0|1\n", workloadNames())
 		return 2
 	}
@@ -134,17 +145,67 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	defer os.RemoveAll(scratch)
 
-	e := &env{seed: *seed, seconds: *seconds, trace: *trace == 1, scale: *scale,
-		dir: scratch, start: start}
+	e := &env{seed: *seed, seconds: *seconds, trace: *trace == 1, scale: 1,
+		dir: scratch, start: start, setupArgs: args, setupOnly: *setupOnly, out: stdout}
 	fmt.Fprintf(stdout, "# workload %s: %s\n", w.name, w.why)
-	fmt.Fprintf(stdout, "# commit=%s nproc=%d GOMAXPROCS=%d go=%s seed=%d transport=tcp-loopback seconds=%g trace=%d scale=%g\n",
-		commit(), runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), *seed, *seconds, *trace, *scale)
+	fmt.Fprintf(stdout, "# commit=%s nproc=%d GOMAXPROCS=%d go=%s seed=%d transport=tcp-loopback seconds=%g trace=%d\n",
+		commit(), runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), *seed, *seconds, *trace)
 	rep, err := w.run(e)
+	if errors.Is(err, errSetupOnly) {
+		return 0
+	}
 	if err != nil {
 		fmt.Fprintf(stderr, "perfbench: %s: %v\n", w.name, err)
 		return 1
 	}
 	return emit(stdout, rep, e.trace)
+}
+
+// setupReady is the line a --setup-only process prints once its system is
+// up; errSetupOnly ends such a run.
+const setupReady = "# set-up done"
+
+var errSetupOnly = errors.New("set-up only")
+
+// setupTimeout bounds one set-up process.
+const setupTimeout = 60 * time.Second
+
+// coldSetup runs a workload's set-up in a fresh process of this program
+// with args and returns the seconds from starting the process until it
+// reported its system up. The time covers everything a run does before
+// its first op: process and package initialisation, input generation
+// and the workload's set-up. The process's teardown is not timed.
+func coldSetup(args []string) (float64, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return 0, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), setupTimeout)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, exe, append(append([]string(nil), args...), "--setup-only")...)
+	cmd.Stderr = os.Stderr
+	out, err := cmd.StdoutPipe()
+	if err != nil {
+		return 0, err
+	}
+	t0 := time.Now()
+	if err := cmd.Start(); err != nil {
+		return 0, err
+	}
+	var took time.Duration
+	sc := bufio.NewScanner(out)
+	for sc.Scan() {
+		if took == 0 && sc.Text() == setupReady {
+			took = time.Since(t0)
+		}
+	}
+	if err := cmd.Wait(); err != nil {
+		return 0, fmt.Errorf("set-up process: %w", err)
+	}
+	if took == 0 {
+		return 0, errors.New("set-up process ended without reporting its system up")
+	}
+	return took.Seconds(), nil
 }
 
 // emit prints the report's metrics as text lines, then the result object

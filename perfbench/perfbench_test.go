@@ -7,6 +7,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"safeweb/internal/event"
 	"safeweb/internal/label"
@@ -20,16 +21,36 @@ type result struct {
 	Raw       map[string]json.RawMessage `json:"metrics"`
 }
 
-func run(t *testing.T, args ...string) (int, result, string) {
+// TestMain lets a test run this binary as the benchmark program, as
+// coldSetup does with the program proper.
+func TestMain(m *testing.M) {
+	if os.Getenv("PERFBENCH_AS_PROGRAM") == "1" {
+		os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
+
+// smokeScale shrinks the workloads' rates and data sizes for the smoke
+// test; the command line has no way to change them.
+const smokeScale = 0.02
+
+// runSmall runs a workload in this process at smokeScale, with its set-up
+// timed in-process, and returns the exit code and the parsed last line.
+func runSmall(t *testing.T, w workload, trace bool) (int, result, string) {
 	t.Helper()
-	var out, errs bytes.Buffer
-	code := realMain(append(args, "--dir", t.TempDir()), &out, &errs)
+	e := &env{seed: 3, seconds: 1.6, trace: trace, scale: smokeScale, dir: t.TempDir(), start: time.Now()}
+	rep, err := w.run(e)
+	if err != nil {
+		t.Fatalf("%s: %v", w.name, err)
+	}
+	var out bytes.Buffer
+	code := emit(&out, rep, trace)
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	var r result
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r); err != nil {
-		t.Fatalf("last line is not a result: %v\nstdout:\n%s\nstderr:\n%s", err, out.String(), errs.String())
+		t.Fatalf("last line is not a result: %v\n%s", err, out.String())
 	}
-	return code, r, out.String() + errs.String()
+	return code, r, out.String()
 }
 
 // TestSmokeWorkloads runs every workload at a tiny size, traced, and the
@@ -40,13 +61,17 @@ func TestSmokeWorkloads(t *testing.T) {
 		t.Skip("runs every workload")
 	}
 	for i, w := range workloads {
-		traces := []string{"1"}
+		traces := []bool{true}
 		if i == 0 {
-			traces = append(traces, "0")
+			traces = append(traces, false)
 		}
 		for _, tr := range traces {
-			t.Run(w.name+"/trace="+tr, func(t *testing.T) {
-				code, r, out := run(t, "--workload", w.name, "--seed", "3", "--seconds", "1.6", "--scale", "0.02", "--trace", tr)
+			name := w.name + "/trace=0"
+			if tr {
+				name = w.name + "/trace=1"
+			}
+			t.Run(name, func(t *testing.T) {
+				code, r, out := runSmall(t, w, tr)
 				if code != 0 || !r.Correct || r.Attempted == 0 {
 					t.Fatalf("exit %d, correct %v, failed %d of %d\n%s", code, r.Correct, r.Failed, r.Attempted, out)
 				}
@@ -59,7 +84,7 @@ func TestSmokeWorkloads(t *testing.T) {
 					t.Logf("%d front pages answered 500: the known defect for MDTs without metrics", n5xx)
 				}
 				want := map[string]bool{}
-				if tr == "0" {
+				if !tr {
 					for _, m := range endToEnd {
 						want[m.name] = true
 					}
@@ -76,7 +101,7 @@ func TestSmokeWorkloads(t *testing.T) {
 						t.Errorf("metric %s missing", name)
 					}
 				}
-				if w.name == "fanout" && tr == "1" {
+				if w.name == "fanout" && tr {
 					var m struct{ Value float64 }
 					if err := json.Unmarshal(r.Raw["event.wire_image_builds_per_op"], &m); err != nil || m.Value != 1 {
 						t.Errorf("event.wire_image_builds_per_op = %v (%v), want exactly 1", m.Value, err)
@@ -84,6 +109,25 @@ func TestSmokeWorkloads(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestColdSetup sets fanout up in a fresh process, the way setup_s is
+// measured, and checks that the process reports its system up and ends.
+func TestColdSetup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts a process")
+	}
+	t.Setenv("PERFBENCH_AS_PROGRAM", "1")
+	s, err := coldSetup([]string{"--workload", "fanout", "--seed", "3", "--seconds", "1", "--dir", t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s <= 0 || s >= setupTimeout.Seconds() {
+		t.Errorf("set-up took %v s", s)
+	}
+	if _, err := coldSetup([]string{"--workload", "nope"}); err == nil {
+		t.Error("a set-up process that fails: no error")
 	}
 }
 
@@ -259,8 +303,8 @@ func TestIngestCheckerFlags(t *testing.T) {
 // TestFrontpageJudge flags a 500, a refused own page, a served cross-MDT
 // request and a foreign patient id in an own page.
 func TestFrontpageJudge(t *testing.T) {
-	own := map[string]bool{"30000001": true}
-	known := map[string]bool{"30000001": true, "30000002": true}
+	own := map[string]bool{"30000001": true, "100000003": true}
+	known := map[string]bool{"30000001": true, "30000002": true, "100000003": true, "123456789": true}
 	front := frontReq{user: "mdt-1", kind: reqFront, path: "/"}
 	cross := frontReq{user: "mdt-1", kind: reqCross, path: "/records/mdt-2"}
 	for _, c := range []struct {
@@ -274,6 +318,8 @@ func TestFrontpageJudge(t *testing.T) {
 		{"500", front, http.StatusInternalServerError, `internal error`, true, false},
 		{"own page refused", front, http.StatusForbidden, ``, true, false},
 		{"foreign patient in own page", front, http.StatusOK, `<td>30000002</td>`, false, true},
+		{"own nine-digit patient", front, http.StatusOK, `<td>100000003</td>`, false, false},
+		{"foreign nine-digit patient", front, http.StatusOK, `<td>123456789</td>`, false, true},
 		{"cross refused", cross, http.StatusForbidden, `not a member of this MDT`, false, false},
 		{"cross served", cross, http.StatusOK, `[]`, true, true},
 		{"cross 500", cross, http.StatusInternalServerError, ``, true, false},
@@ -302,6 +348,49 @@ func TestEmitExitCode(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"correct":false`) {
 		t.Errorf("leak not reported as incorrect: %s", b.String())
+	}
+}
+
+// TestReplayCheckFlags feeds the replay checker a group's deliveries
+// with a duplicate, a gap and an uncleared record.
+func TestReplayCheckFlags(t *testing.T) {
+	// Offsets 0-6; 2 and 5 are uncleared, so a group receives 0 1 3 4 6.
+	class := []uint8{cleared, unlabelled, secret, cleared, unlabelled, secret, cleared}
+	ok := label.NewSet(label.Conf("bench/dur/ok/1"))
+	bad := label.NewSet(label.Conf("bench/dur/secret/1"))
+	c := newReplayCheck(class)
+	var failed int64
+	for _, i := range []int{0, 1, 3, 4, 6} {
+		if !c.cleared(i, ok) {
+			t.Errorf("record %d: flagged as a leak", i)
+		}
+		failed += c.next(i)
+	}
+	if failed != 0 {
+		t.Fatalf("clean replay: %d failures", failed)
+	}
+
+	c = newReplayCheck(class)
+	failed = 0
+	for _, i := range []int{0, 1, 1, 4, 6} { // 1 twice, 3 missing
+		failed += c.next(i)
+	}
+	if failed != 2 {
+		t.Errorf("duplicate and gap: %d failures, want 2", failed)
+	}
+	c = newReplayCheck(class)
+	if failed := c.next(0) + c.next(6); failed != 3 {
+		t.Errorf("gap over 1 3 4: %d failures, want 3 (uncleared records are no gap)", failed)
+	}
+
+	if c.cleared(2, ok) {
+		t.Error("uncleared record delivered: not flagged")
+	}
+	if c.cleared(3, bad) {
+		t.Error("record delivered with an uncleared label: not flagged")
+	}
+	if c.cleared(-1, ok) || c.cleared(len(class), ok) {
+		t.Error("record outside the journal: not flagged")
 	}
 }
 

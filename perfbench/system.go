@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -13,12 +12,13 @@ import (
 	"safeweb/internal/label"
 )
 
-// A run sets its system up at least minSetups times and until setups
-// took setupBudget in total (at most maxSetups); setup_s is the median,
-// and the last system is the one measured.
+// setup_s is the median set-up time of at least minSetups fresh
+// processes, more until they took setupBudget in total (at most
+// maxSetups), so that a fast set-up is sampled often enough for its
+// median to hold still.
 const (
 	minSetups   = 3
-	maxSetups   = 30
+	maxSetups   = 15
 	setupBudget = time.Second
 )
 
@@ -201,30 +201,38 @@ func (b *backend) systemFailures(withDrops bool) int64 {
 	return int64(n) + b.busErrs.n.Load()
 }
 
-// timedSetups builds a system repeatedly, closing all but the last, and
-// returns the last with each set-up's duration in seconds. The first
-// set-up's clock starts at process start.
+// timedSetups times the workload's set-up in fresh processes (see
+// coldSetup), then builds the system this run measures and returns it
+// with those times in seconds. Without setupArgs (tests)
+// it times the in-process build from the process's start instead. The
+// one-second warm-up is not part of set-up: it is a constant.
 func timedSetups[T any](e *env, build func() (T, error), close func(T)) (T, []float64, error) {
-	var times []float64
-	var total time.Duration
-	for k := 0; ; k++ {
-		t0 := time.Now()
-		if k == 0 {
-			t0 = e.start
-		}
+	var zero T
+	if e.setupOnly {
 		s, err := build()
 		if err != nil {
 			return s, nil, err
 		}
-		d := time.Since(t0)
-		times = append(times, d.Seconds())
-		total += d
-		if k+1 >= maxSetups || (k+1 >= minSetups && total >= setupBudget) {
-			return s, times, nil
-		}
+		fmt.Fprintln(e.out, setupReady)
 		close(s)
-		// Return the closed system's memory, so that peak_rss_mb reads the
-		// measured system rather than the garbage of its predecessors.
-		debug.FreeOSMemory()
+		return zero, nil, errSetupOnly
 	}
+	var times []float64
+	total := 0.0
+	for e.setupArgs != nil && len(times) < maxSetups && (len(times) < minSetups || total < setupBudget.Seconds()) {
+		t, err := coldSetup(e.setupArgs)
+		if err != nil {
+			return zero, nil, err
+		}
+		times = append(times, t)
+		total += t
+	}
+	s, err := build()
+	if err != nil {
+		return s, nil, err
+	}
+	if e.setupArgs == nil {
+		times = append(times, time.Since(e.start).Seconds())
+	}
+	return s, times, nil
 }
