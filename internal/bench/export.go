@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
 
 	"safeweb/internal/event"
-	"safeweb/internal/stomp"
 )
 
 // Pipeline is the exported handle to the synthetic backend pipeline, for
@@ -34,36 +31,22 @@ func (p *Pipeline) Publish(seq int, tracking bool) error {
 // Stop tears the pipeline down.
 func (p *Pipeline) Stop() { p.p.stop() }
 
-// StompRoundTripForBench encodes and decodes a representative labelled
-// event n times through the full wire path (event → headers → frame →
-// bytes → frame → event); it returns the first error.
+// StompRoundTripForBench carries a representative labelled event n times
+// through both wire hops of the networked pipeline on the live codec (see
+// wireHops). Every iteration builds a fresh event, so the image memos
+// cannot hide the encode. It returns the first error.
 func StompRoundTripForBench(n int) error {
-	ev := event.New("/bench", map[string]string{"seq": "1"}, benchLabels()...)
-	ev.Body = append([]byte(nil), benchBody...)
-	for i := 0; i < n; i++ {
-		headers, body, err := event.MarshalHeaders(ev)
-		if err != nil {
-			return err
-		}
-		f := stomp.NewFrame(stomp.CmdSend)
-		for k, v := range headers {
-			f.SetHeader(k, v)
-		}
-		f.Body = body
-		var buf bytes.Buffer
-		if err := stomp.WriteFrame(&buf, f); err != nil {
-			return err
-		}
-		back, err := stomp.ReadFrame(bufio.NewReader(&buf))
-		if err != nil {
-			return err
-		}
-		if _, err := event.UnmarshalHeaders(back.Headers, back.Body); err != nil {
-			return err
-		}
-	}
 	if n < 0 {
 		return fmt.Errorf("bench: negative iteration count")
+	}
+	labels := benchLabels()
+	wire := newWireHops()
+	for i := 0; i < n; i++ {
+		ev := event.New("/bench", map[string]string{"seq": "1"}, labels...)
+		ev.Body = benchBody
+		if err := wire.run(ev); err != nil {
+			return err
+		}
 	}
 	return nil
 }

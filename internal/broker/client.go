@@ -220,24 +220,6 @@ func (w *pubWindow) stickyErr() error {
 	return w.err
 }
 
-// publishSync runs one synchronous legacy-fallback publish under the
-// window's sticky-error discipline: a failed window stays failed for
-// every publish, whichever encoding path it takes, and a failure here
-// fails the window too. The mutex is held across the receipt wait, which
-// also keeps the fallback ordered against concurrent windowed publishes.
-func (w *pubWindow) publishSync(send func() error) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if err := send(); err != nil {
-		w.err = fmt.Errorf("broker: windowed publish: %w", err)
-		return w.err
-	}
-	return nil
-}
-
 // flush settles every outstanding receipt and returns the window's sticky
 // error, if any.
 func (w *pubWindow) flush() error {
@@ -426,10 +408,9 @@ func DialBus(addr string, cfg ClientConfig) (*Client, error) {
 // (publishers must not mutate it afterwards, exactly as with an
 // in-process Broker.Publish) and its memoised SEND wire image goes
 // straight to the connection's coalescing writer — no header map, no
-// frame, and for repeated publishes of one event no re-encoding. Wire
-// bytes are byte-identical to the legacy map path; events whose
-// attribute names collide with transport headers take that legacy path
-// so their (map overwrite) wire semantics are preserved.
+// frame, and for repeated publishes of one event no re-encoding.
+// Attributes named like transport headers (receipt, id, ...) are dropped
+// by the encoder, so they can never forge the connection's own receipts.
 //
 // Publishes are pinned to the first connection — or, with PublishShards,
 // to a per-topic connection — so the broker observes one client's
@@ -455,9 +436,6 @@ func (c *Client) Publish(ev *event.Event) error {
 	ev.Freeze()
 	img, err := ev.SendImage()
 	if err != nil {
-		if errors.Is(err, event.ErrTransportAttr) {
-			return c.publishLegacy(ev)
-		}
 		return err
 	}
 	switch {
@@ -468,30 +446,6 @@ func (c *Client) Publish(ev *event.Event) error {
 	default:
 		return sh.conn.SendImage(img)
 	}
-}
-
-// publishLegacy is the header-map SEND path, kept for events whose
-// attribute names collide with transport headers (ErrTransportAttr): the
-// map's overwrite semantics — destination clobbers a same-named
-// attribute, a synchronous receipt clobbers a "receipt" attribute — are
-// part of the legacy wire behaviour and must not silently change.
-func (c *Client) publishLegacy(ev *event.Event) error {
-	headers, body, err := event.MarshalHeaders(ev)
-	if err != nil {
-		return err
-	}
-	dest := headers[event.HeaderDestination]
-	delete(headers, event.HeaderDestination)
-	sh := c.shards[c.pubShard(ev.Topic)]
-	if sh.win != nil {
-		return sh.win.publishSync(func() error {
-			return sh.conn.SendReceipt(dest, headers, body, c.cfg.SendTimeout)
-		})
-	}
-	if c.cfg.SendTimeout > 0 {
-		return sh.conn.SendReceipt(dest, headers, body, c.cfg.SendTimeout)
-	}
-	return sh.conn.Send(dest, headers, body)
 }
 
 // pubShard pins a topic to one publish connection.

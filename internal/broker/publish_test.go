@@ -1,8 +1,10 @@
 package broker
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strconv"
 	"sync"
@@ -11,6 +13,7 @@ import (
 
 	"safeweb/internal/event"
 	"safeweb/internal/label"
+	"safeweb/internal/stomp"
 )
 
 // TestPublishWindowedOrderingAndFlush: a windowed producer pipelines
@@ -104,12 +107,11 @@ func TestPublishWindowSurfacesBrokerError(t *testing.T) {
 	if err := rejected.Set("retry", "1"); err != nil {
 		t.Errorf("fail-fast-rejected event is frozen: %v", err)
 	}
-	// The legacy fallback (transport-colliding attr) must honour the
-	// sticky error too: a failed window fails every publish, whichever
-	// encoding path the event takes.
+	// An event with a transport-named attribute (dropped at encode) must
+	// honour the sticky error too: a failed window fails every publish.
 	collide := event.New("/t", map[string]string{"ack": "client"})
 	if err := producer.Publish(collide); err == nil {
-		t.Fatal("legacy-fallback Publish bypassed the window's sticky error")
+		t.Fatal("Publish of a transport-named attr bypassed the window's sticky error")
 	}
 	if err := producer.Flush(); err == nil {
 		t.Fatal("second Flush lost the sticky error")
@@ -156,8 +158,8 @@ func TestPublishWindowBoundedInflight(t *testing.T) {
 // TestPublishFreezeNoMutation pins the publish-side aliasing contract:
 // Publish freezes the caller's event but must not otherwise mutate any
 // caller-visible state — no attribute map rewrite, no body copy, no
-// transport headers leaking into Attrs — on the fast path and on the
-// legacy fallback alike.
+// transport headers leaking into Attrs — for plain events and for events
+// whose transport-named attributes the encoder drops.
 func TestPublishFreezeNoMutation(t *testing.T) {
 	_, srv := startNetBroker(t)
 	producer := dialBus(t, srv.Addr(), "producer")
@@ -193,25 +195,24 @@ func TestPublishFreezeNoMutation(t *testing.T) {
 		}
 	}
 
-	fast := event.New("/patient_report",
+	plain := event.New("/patient_report",
 		map[string]string{"patient_id": "1", "type": "cancer"},
 		label.Conf("ecric.org.uk/mdt/7"))
-	fast.Body = []byte(`{"summary": "report"}`)
-	check("fast path", fast)
+	plain.Body = []byte(`{"summary": "report"}`)
+	check("plain", plain)
 
-	// "receipt" collides with a transport header: this publish takes the
-	// legacy map path, which historically deleted the destination key from
-	// its own marshalled map — that deletion must never reach the event.
-	fallback := event.New("/patient_report",
+	// "receipt" is a transport header name: the encoder leaves it off the
+	// wire image, and that drop must never reach the event's own attrs.
+	dropped := event.New("/patient_report",
 		map[string]string{"receipt": "app-data", "type": "cancer"},
 		label.Conf("ecric.org.uk/mdt/7"))
-	check("legacy fallback", fallback)
+	check("transport-named attr", dropped)
 }
 
-// TestPublishTransportAttrFallback: events whose attributes collide with
-// transport headers still publish (via the legacy map path) with the
-// legacy wire semantics — the destination header wins over a same-named
-// attribute, and transport-named attributes do not reappear on delivery.
+// TestPublishTransportAttrFallback: events whose attributes are named like
+// transport headers still publish, the encoder drops those attributes —
+// the event's topic is the only destination header on the wire — and they
+// do not reappear on delivery.
 func TestPublishTransportAttrFallback(t *testing.T) {
 	_, srv := startNetBroker(t)
 	consumer := dialBus(t, srv.Addr(), "cleared")
@@ -253,6 +254,137 @@ func TestPublishTransportAttrFallback(t *testing.T) {
 	case <-evil:
 		t.Fatal("event delivered to the attribute's destination; the topic must win")
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// recordingBroker is a raw STOMP endpoint in the style of discardBroker:
+// it completes the CONNECT handshake, answers every receipt request, and
+// reports the header lines of each SEND frame exactly as they arrived on
+// the wire, repeated keys included.
+func recordingBroker(t testing.TB) (string, <-chan [][2]string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	// Room for every SEND a test publishes, so a connection goroutine
+	// never blocks on a test that has stopped reading.
+	sends := make(chan [][2]string, 16)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go recordSends(conn, sends)
+		}
+	}()
+	return ln.Addr().String(), sends
+}
+
+// recordSends serves one recordingBroker connection.
+func recordSends(conn net.Conn, sends chan<- [][2]string) {
+	defer conn.Close()
+	dec := stomp.NewDecoder(conn)
+	if _, err := dec.DecodeView(); err != nil { // CONNECT
+		return
+	}
+	if _, err := conn.Write([]byte("CONNECTED\nsession:1\nversion:1.1\ncontent-length:0\n\n\x00")); err != nil {
+		return
+	}
+	for {
+		v, err := dec.DecodeView()
+		if err != nil {
+			return
+		}
+		if v.Command == stomp.CmdSend {
+			hdrs := make([][2]string, v.Headers.Len())
+			for i := range hdrs {
+				hdrs[i] = [2]string{v.Headers.Key(i), v.Headers.Value(i)}
+			}
+			sends <- hdrs
+		}
+		if r, ok := v.Headers.Get(stomp.HdrReceipt); ok {
+			if _, err := conn.Write([]byte("RECEIPT\nreceipt-id:" + r + "\n\n\x00")); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// TestPublishDropsTransportNamedAttrs: attributes named like transport
+// headers never reach the wire. A "receipt: rcpt-1" attribute would
+// otherwise make the broker answer with a receipt id from the client's
+// own rcpt-N scheme, confirming an unrelated pending publish, and ack,
+// id, selector and transaction attributes would be read as transport
+// metadata. The SEND carries only the client's own receipt request, on
+// receipt-tracked publishes, and the event's MESSAGE image carries none.
+func TestPublishDropsTransportNamedAttrs(t *testing.T) {
+	forged := []string{stomp.HdrReceipt, "ack", stomp.HdrID, stomp.HdrSelector, "transaction"}
+	for _, tc := range []struct {
+		name     string
+		cfg      ClientConfig
+		receipts int
+	}{
+		{"fire-and-forget", ClientConfig{Login: "producer"}, 0},
+		{"windowed", ClientConfig{Login: "producer", PublishWindow: 4, SendTimeout: 5 * time.Second}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, sends := recordingBroker(t)
+			c, err := DialBus(addr, tc.cfg)
+			if err != nil {
+				t.Fatalf("DialBus: %v", err)
+			}
+			defer func() { _ = c.Close() }()
+
+			ev := event.New("/t", map[string]string{
+				stomp.HdrReceipt: "rcpt-1", "ack": "client", stomp.HdrID: "sub-0",
+				stomp.HdrSelector: "k = 'v'", "transaction": "tx-1", "k": "v",
+			})
+			if err := c.Publish(ev); err != nil {
+				t.Fatalf("Publish: %v", err)
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatalf("Flush: %v", err)
+			}
+			var hdrs [][2]string
+			select {
+			case hdrs = <-sends:
+			case <-time.After(5 * time.Second):
+				t.Fatal("SEND never reached the sink")
+			}
+			counts := make(map[string]int, len(hdrs))
+			for _, h := range hdrs {
+				counts[h[0]]++
+			}
+			for _, k := range forged[1:] {
+				if counts[k] != 0 {
+					t.Errorf("SEND carries an attribute-sourced %s header: %q", k, hdrs)
+				}
+			}
+			if counts[stomp.HdrReceipt] != tc.receipts {
+				t.Errorf("SEND carries %d receipt headers, want %d (the client's own): %q",
+					counts[stomp.HdrReceipt], tc.receipts, hdrs)
+			}
+			if counts["k"] != 1 {
+				t.Errorf("ordinary attribute lost from SEND: %q", hdrs)
+			}
+
+			img, err := ev.WireImage()
+			if err != nil {
+				t.Fatalf("WireImage: %v", err)
+			}
+			v, err := stomp.NewDecoder(bytes.NewReader(img.Bytes())).DecodeView()
+			if err != nil {
+				t.Fatalf("DecodeView of MESSAGE image: %v", err)
+			}
+			for _, k := range forged {
+				if _, ok := v.Headers.Get(k); ok {
+					t.Errorf("MESSAGE image carries an attribute-sourced %s header: %q", k, img.Bytes())
+				}
+			}
+		})
 	}
 }
 

@@ -155,7 +155,7 @@ func TestDeliveryDropAccounted(t *testing.T) {
 
 	// Publish-time validation makes an unmarshalable event unreachable
 	// through the public API, so inject one directly into the delivery
-	// path: a reserved attribute fails MarshalHeaders.
+	// path: a reserved attribute fails the image encoder's validation.
 	bad := &event.Event{
 		Topic: "/t",
 		Attrs: map[string]string{event.ReservedPrefix + "labels": "forged"},

@@ -1,9 +1,7 @@
 package event
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	"safeweb/internal/label"
 	"safeweb/internal/stomp"
@@ -23,60 +21,16 @@ const (
 	HeaderDestination = "destination"
 )
 
-// MarshalHeaders flattens the event into STOMP headers and a body. The
-// returned map contains the destination, every attribute, and the label
-// header.
-func MarshalHeaders(e *Event) (map[string]string, []byte, error) {
-	if err := e.Validate(); err != nil {
-		return nil, nil, err
-	}
-	headers := make(map[string]string, len(e.Attrs)+2)
-	for k, v := range e.Attrs {
-		headers[k] = v
-	}
-	headers[HeaderDestination] = e.Topic
-	if !e.Labels.IsEmpty() {
-		if e.labelHeader != "" {
-			headers[HeaderLabels] = e.labelHeader
-		} else {
-			headers[HeaderLabels] = e.Labels.String()
-		}
-	}
-	return headers, e.Body, nil
-}
-
-// ErrTransportAttr reports an event whose attribute names collide with
-// STOMP transport headers (destination, receipt, content-length, ...).
-// The legacy map path resolves such collisions through header-map
-// overwrite semantics; the direct SEND encoding refuses them instead, and
-// the networked client falls back to the map path so wire behaviour is
-// unchanged for these (pathological) events.
-var ErrTransportAttr = errors.New("event: attribute name collides with a transport header")
-
-// EncodeSend writes the event as a STOMP SEND frame in its canonical wire
-// form, splicing the per-publish receipt header (when non-empty) at its
-// sorted position: the producer fast path, byte-identical to marshalling
-// the event into a header map and encoding a SEND frame from it. The
-// event must be frozen; the image is memoised on it (see SendImage).
-func EncodeSend(w io.Writer, enc *stomp.Encoder, e *Event, receipt string) error {
-	img, err := e.SendImage()
-	if err != nil {
-		return err
-	}
-	return enc.EncodeSendImage(w, img, receipt)
-}
-
-// buildSendImage encodes the event's SEND wire image into dst in a single
-// pass: destination, label header and attributes are merged in canonical
-// sorted order straight into the image buffer, with no intermediate map.
-func buildSendImage(e *Event, dst *stomp.WireImage) error {
+// buildImage encodes the event's wire image for command (SEND or MESSAGE)
+// into dst in a single pass: destination, label header and attributes are
+// merged in canonical sorted order straight into the image buffer, with no
+// intermediate map. Attributes named like transport headers
+// (skippedHeaders) are dropped, the same rule the decoder applies, so
+// application data can never put a receipt, subscription or other
+// transport header on the wire.
+func buildImage(e *Event, command string, dst *stomp.WireImage) error {
 	if err := e.Validate(); err != nil {
 		return err
-	}
-	for k := range e.Attrs {
-		if skippedHeader(k) {
-			return fmt.Errorf("%w: %q", ErrTransportAttr, k)
-		}
 	}
 	labels := ""
 	if !e.Labels.IsEmpty() {
@@ -85,7 +39,7 @@ func buildSendImage(e *Event, dst *stomp.WireImage) error {
 			labels = e.Labels.String()
 		}
 	}
-	hint := len(stomp.CmdSend) + len(stomp.HdrContentLength) + 24 +
+	hint := len(command) + len(stomp.HdrContentLength) + 24 +
 		len(HeaderDestination) + len(e.Topic) + 2 + len(e.Body)
 	n := len(e.Attrs) + 1
 	if labels != "" {
@@ -104,16 +58,19 @@ func buildSendImage(e *Event, dst *stomp.WireImage) error {
 		keys = append(keys, HeaderLabels) // "x-safeweb-" sorts after "destination"
 	}
 	for k, v := range e.Attrs {
+		if skippedHeader(k) {
+			continue
+		}
 		hint += len(k) + len(v) + 2
 		// Insertion sort, as the encoder's sorted-key helper does; attrs
-		// cannot collide with the two fixed keys (transport names are
-		// gated above, the reserved prefix by Validate).
+		// cannot collide with the two fixed keys (destination is skipped
+		// above, the reserved prefix rejected by Validate).
 		keys = append(keys, k)
 		for i := len(keys) - 1; i > 0 && keys[i-1] > k; i-- {
 			keys[i], keys[i-1] = keys[i-1], keys[i]
 		}
 	}
-	b := stomp.NewImageBuilder(stomp.CmdSend, hint)
+	b := stomp.NewImageBuilder(command, hint)
 	for _, k := range keys {
 		switch k {
 		case HeaderDestination:
@@ -129,9 +86,9 @@ func buildSendImage(e *Event, dst *stomp.WireImage) error {
 }
 
 // skippedHeaders is the single source of truth for STOMP headers that are
-// transport metadata rather than event attributes. Both unmarshal paths —
-// the legacy map walk and the single-pass view walk — consult this table,
-// so they cannot silently diverge when a header is added.
+// transport metadata rather than event attributes. The encoder drops
+// attributes with these names and the decoder skips headers with them, so
+// the two directions cannot silently diverge when a header is added.
 var skippedHeaders = map[string]struct{}{
 	HeaderDestination: {}, HeaderLabels: {}, HeaderClearance: {},
 	"subscription": {}, "message-id": {}, "content-length": {},
@@ -154,87 +111,17 @@ func skippedHeaderBytes(k []byte) bool {
 	return ok
 }
 
-// LabelCache memoises the most recent label-header parse. Wire traffic
-// between two units typically repeats one label set for long runs of
-// messages, and parsed label sets are immutable, so a one-entry memo
-// keyed on the raw header string removes the per-message parse from the
-// connection read loop. A LabelCache must be confined to one goroutine
-// (each connection read loop owns one).
-type LabelCache struct {
-	hdr string
-	set label.Set
-}
-
-func (c *LabelCache) parse(hdr string) (label.Set, error) {
-	if c != nil && c.hdr == hdr {
-		return c.set, nil
-	}
-	set, err := label.ParseSet(hdr)
-	if err != nil {
-		return nil, err
-	}
-	if c != nil {
-		c.hdr, c.set = hdr, set
-	}
-	return set, nil
-}
-
-// UnmarshalHeaders reconstructs an event from STOMP headers and a body.
-// Standard STOMP headers that are not event attributes (subscription,
-// message-id, content-length, receipt) are skipped; the attribute map is
-// sized to the attributes that survive the skip, and stays nil when none
-// do. The event takes ownership of body without copying; callers must
-// not reuse it.
-func UnmarshalHeaders(headers map[string]string, body []byte) (*Event, error) {
-	return UnmarshalHeadersCached(headers, body, nil)
-}
-
-// UnmarshalHeadersCached is UnmarshalHeaders with an optional label-parse
-// memo for connection read loops (see LabelCache).
-func UnmarshalHeadersCached(headers map[string]string, body []byte, cache *LabelCache) (*Event, error) {
-	e := &Event{Topic: headers[HeaderDestination]}
-	if e.Topic == "" {
-		return nil, fmt.Errorf("event: missing %s header", HeaderDestination)
-	}
-	attrs := 0
-	for k := range headers {
-		if !skippedHeader(k) {
-			attrs++
-		}
-	}
-	if attrs > 0 {
-		e.Attrs = make(map[string]string, attrs)
-	}
-	for k, v := range headers {
-		if k == HeaderLabels {
-			labels, err := cache.parse(v)
-			if err != nil {
-				return nil, fmt.Errorf("event: bad label header: %w", err)
-			}
-			e.Labels = labels
-		}
-		if skippedHeader(k) {
-			continue
-		}
-		e.Attrs[k] = v
-	}
-	if len(body) > 0 {
-		e.Body = body
-	}
-	return e, nil
-}
-
-// DecodeCache memoises per-read-loop decode state for the map-free view
-// path: the most recent label-header parse (label sets are immutable and
-// wire traffic repeats one set for long runs) and the most recent topic
-// string (fan-out consumers see the same destination on every frame). Like
-// LabelCache, a DecodeCache must be confined to one goroutine — each
-// connection read loop owns one. A nil *DecodeCache is valid and simply
-// never hits.
+// DecodeCache memoises per-read-loop decode state: the most recent
+// label-header parse (label sets are immutable and wire traffic repeats
+// one set for long runs), the most recent topic string (fan-out consumers
+// see the same destination on every frame) and the interned attribute
+// keys. A DecodeCache must be confined to one goroutine — each connection
+// read loop owns one. A nil *DecodeCache is valid and simply never hits.
 type DecodeCache struct {
-	labels LabelCache
-	topic  string
-	keys   map[string]string
+	labelHdr string
+	labels   label.Set
+	topic    string
+	keys     map[string]string
 }
 
 // maxCachedAttrKeys bounds the attribute-key intern table: a peer
@@ -265,8 +152,8 @@ func (c *DecodeCache) attrKey(b []byte) string {
 // parseLabels parses a label header given as wire bytes, consulting and
 // updating the memo. The bytes are not retained.
 func (c *DecodeCache) parseLabels(hdr []byte) (label.Set, error) {
-	if c != nil && c.labels.set != nil && string(hdr) == c.labels.hdr {
-		return c.labels.set, nil
+	if c != nil && c.labels != nil && string(hdr) == c.labelHdr {
+		return c.labels, nil
 	}
 	s := string(hdr)
 	set, err := label.ParseSet(s)
@@ -274,7 +161,7 @@ func (c *DecodeCache) parseLabels(hdr []byte) (label.Set, error) {
 		return nil, err
 	}
 	if c != nil && set != nil {
-		c.labels.hdr, c.labels.set = s, set
+		c.labelHdr, c.labels = s, set
 	}
 	return set, nil
 }
@@ -309,9 +196,8 @@ func (e *Event) addWireAttr(k string, vb []byte, hint int) {
 // single pass over the headers: no header map is ever built for transport
 // metadata, label parses and the topic string are memoised via cache, and
 // the event takes ownership of body without copying (callers must not
-// reuse it). The semantics — skipped transport headers, first-occurrence-
-// wins for repeated keys, missing-destination error — match
-// UnmarshalHeaders over the materialised map.
+// reuse it). Transport headers (skippedHeaders) are skipped, a repeated
+// key keeps its first occurrence, and a missing destination is an error.
 //
 // The view must follow the stomp.HeaderView ownership rules: UnmarshalView
 // runs on the view's read loop and retains nothing from the view's scratch

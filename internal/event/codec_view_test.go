@@ -33,14 +33,15 @@ func messageWire(t testing.TB) []byte {
 	f.SetHeader(HeaderLabels, label.NewSet(label.Conf("ecric.org.uk/mdt/7")).String())
 	f.Body = []byte(`{"summary": "report", "mdt": 7}`)
 	var buf bytes.Buffer
-	if err := stomp.WriteFrame(&buf, f); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
+	var enc stomp.Encoder
+	if err := enc.Encode(&buf, f); err != nil {
+		t.Fatalf("Encode: %v", err)
 	}
 	return buf.Bytes()
 }
 
 // TestUnmarshalViewMatchesUnmarshalHeaders: the single-pass view path and
-// the legacy map path must build identical events from the same frame,
+// the map-based reference must build identical events from the same frame,
 // including transport-header skipping, labels, and missing-destination
 // errors.
 func TestUnmarshalViewMatchesUnmarshalHeaders(t *testing.T) {
@@ -77,14 +78,15 @@ func TestUnmarshalViewMatchesUnmarshalHeaders(t *testing.T) {
 			return f
 		}(),
 	}
+	var enc stomp.Encoder
 	for i, f := range frames {
 		var buf bytes.Buffer
-		if err := stomp.WriteFrame(&buf, f); err != nil {
-			t.Fatalf("frame %d: WriteFrame: %v", i, err)
+		if err := enc.Encode(&buf, f); err != nil {
+			t.Fatalf("frame %d: Encode: %v", i, err)
 		}
 		v := decodeWire(t, buf.Bytes())
 		fromView, errView := UnmarshalView(&v.Headers, append([]byte(nil), v.Body...), nil)
-		fromMap, errMap := UnmarshalHeaders(v.Materialize().Headers, v.Body)
+		fromMap, errMap := unmarshalHeaders(v.Materialize().Headers, v.Body)
 		if (errView == nil) != (errMap == nil) {
 			t.Fatalf("frame %d: error disagreement: view=%v map=%v", i, errView, errMap)
 		}
@@ -144,51 +146,29 @@ func TestUnmarshalViewAllocs(t *testing.T) {
 }
 
 // TestDecodeUnmarshalViewAllocs pins the whole read-loop budget — wire
-// bytes to delivered event — at less than half the legacy Decode +
-// UnmarshalHeaders cost for the same frame (the ISSUE's ≥50%% decode-path
-// reduction, asserted structurally).
+// bytes to delivered event, with a warm DecodeCache — for the hot-path
+// MESSAGE shape.
 func TestDecodeUnmarshalViewAllocs(t *testing.T) {
 	raw := messageWire(t)
-
-	viewPath := pipelineAllocs(t, raw, true)
-	legacyPath := pipelineAllocs(t, raw, false)
-	if viewPath > legacyPath/2 {
-		t.Errorf("view pipeline = %g allocs/op, legacy = %g: want view <= legacy/2", viewPath, legacyPath)
-	}
-	// Absolute guard so the ratio cannot drift up in lockstep.
-	if viewPath > 8 {
-		t.Errorf("view pipeline allocs/op = %g, want <= 8", viewPath)
-	}
-}
-
-func pipelineAllocs(t *testing.T, raw []byte, useView bool) float64 {
-	t.Helper()
 	rd := bytes.NewReader(raw)
 	dec := stomp.NewDecoder(rd)
 	var cache DecodeCache
-	var labelCache LabelCache
 	run := func() {
 		rd.Reset(raw)
-		var err error
-		var ev *Event
-		if useView {
-			var v *stomp.FrameView
-			if v, err = dec.DecodeView(); err == nil {
-				ev, err = UnmarshalView(&v.Headers, v.Body, &cache)
-			}
-		} else {
-			var f *stomp.Frame
-			if f, err = dec.Decode(); err == nil {
-				ev, err = UnmarshalHeadersCached(f.Headers, f.Body, &labelCache)
-			}
-		}
+		v, err := dec.DecodeView()
 		if err != nil {
-			t.Fatalf("pipeline: %v", err)
+			t.Fatalf("DecodeView: %v", err)
+		}
+		ev, err := UnmarshalView(&v.Headers, v.Body, &cache)
+		if err != nil {
+			t.Fatalf("UnmarshalView: %v", err)
 		}
 		if ev.Topic != "/patient_report" || len(ev.Attrs) != 2 || ev.Labels.IsEmpty() {
 			t.Fatalf("pipeline decoded wrong event: %v", ev)
 		}
 	}
 	run() // warm scratch buffers and memos
-	return testing.AllocsPerRun(200, run)
+	if avg := testing.AllocsPerRun(200, run); avg > 7 {
+		t.Errorf("view pipeline allocs/op = %g, want <= 7", avg)
+	}
 }

@@ -12,9 +12,12 @@
 // (WireImage): the first networked delivery encodes it, every other
 // session and shard shares the immutable image, and the memo dies with
 // the event. The producer side is symmetric: a frozen event publishing
-// over the wire memoises its SEND form (SendImage), encoded in a single
-// pass with no intermediate header map and byte-identical to the legacy
-// MarshalHeaders path, so retried and fan-in publishes encode once.
+// over the wire memoises its SEND form (SendImage), so retried and fan-in
+// publishes encode once. Both images come from one single-pass encoder
+// with no intermediate header map; attributes named like STOMP transport
+// headers (receipt, id, ack, ...) are dropped there, exactly as the
+// decoder drops them, so application data never reaches the wire as
+// transport metadata.
 // Per-delivery events — Delivery copies of attr-carrying
 // events and networked UnmarshalViewDelivery events — come from a pool
 // and are recycled by Release when their consumer's callback completes
@@ -67,7 +70,7 @@ type Event struct {
 	Labels label.Set
 
 	// labelHeader memoises Labels.String(), the sorted wire form used by
-	// MarshalHeaders. The broker computes it once per publish (before
+	// the image encoder. The broker computes it once per publish (before
 	// fan-out, on the publishing goroutine) so that delivering one event
 	// to many networked subscribers does not re-sort the label set per
 	// frame. Empty means "not cached"; an event's labels never change
@@ -81,14 +84,14 @@ type Event struct {
 	// lives and dies with the event, so — unlike the per-session frame
 	// memo it replaced — it never pins a payload past the event's own
 	// lifetime and needs no size cap.
-	wire atomic.Pointer[wireMemo]
+	wire atomic.Pointer[imageMemo]
 
 	// send memoises the preencoded STOMP SEND image of a frozen event
 	// (see SendImage): the producer-side counterpart of wire, encoded at
 	// first networked publish with no intermediate header map or frame,
 	// then reused by retried and fan-in publishes of the same event. Like
 	// wire, the memo lives and dies with the event.
-	send atomic.Pointer[sendMemo]
+	send atomic.Pointer[imageMemo]
 
 	// frozen is set by Freeze when the broker publishes the event. A
 	// frozen event may be shared between the publisher and several
@@ -116,15 +119,10 @@ type Event struct {
 	gen uint32
 }
 
-// wireMemo is the once-computed result of building an event's wire image.
-type wireMemo struct {
-	img *stomp.WireImage
-	err error
-}
-
-// sendMemo is the once-computed result of building an event's SEND image.
-// The image is held by value so memo and image cost one allocation.
-type sendMemo struct {
+// imageMemo is the once-computed result of building one of an event's
+// wire images. The image is held by value so memo and image cost one
+// allocation.
+type imageMemo struct {
 	img stomp.WireImage
 	err error
 }
@@ -361,9 +359,9 @@ func (e *Event) NotifyRelease(fn func()) {
 }
 
 // Freeze marks the event as published: it memoises the sorted wire form
-// of the label set for MarshalHeaders and blocks further Set calls, since
-// the event may now be shared between the publisher and any number of
-// subscribers. The broker calls it once per publish before fan-out, on
+// of the label set for the image encoder and blocks further Set calls,
+// since the event may now be shared between the publisher and any number
+// of subscribers. The broker calls it once per publish before fan-out, on
 // the publishing goroutine; it must not be called concurrently with
 // readers of the same event.
 func (e *Event) Freeze() {
@@ -443,24 +441,7 @@ func WireImageBuilds() uint64 { return wireBuilds.Load() }
 // delivery; callers route it to their drop accounting rather than
 // discarding it silently.
 func (e *Event) WireImage() (*stomp.WireImage, error) {
-	if m := e.wire.Load(); m != nil {
-		return m.img, m.err
-	}
-	m := &wireMemo{}
-	headers, body, err := MarshalHeaders(e)
-	if err != nil {
-		m.err = err
-	} else {
-		m.img = stomp.NewMessageImage(headers, body)
-	}
-	if e.wire.CompareAndSwap(nil, m) {
-		if m.err == nil {
-			wireBuilds.Add(1) // one canonical build per event
-		}
-	} else {
-		m = e.wire.Load()
-	}
-	return m.img, m.err
+	return e.image(&e.wire, stomp.CmdMessage, &wireBuilds)
 }
 
 // sendBuilds counts SEND-image encodes across all events, for tests and
@@ -471,34 +452,29 @@ var sendBuilds atomic.Uint64
 func SendImageBuilds() uint64 { return sendBuilds.Load() }
 
 // SendImage returns the preencoded STOMP SEND image for a frozen event —
-// the producer-side counterpart of WireImage, built at most once and in a
-// single pass over the event's fields: no intermediate header map, no
-// Frame, wire bytes byte-identical to the legacy MarshalHeaders+Send path
-// (with a splice point where a per-publish receipt header lands in its
-// canonical sorted position, see stomp.Encoder.EncodeSendImage).
-// Concurrent first calls are safe; both compute identical bytes and one
-// becomes canonical.
-//
-// The event must be frozen (published). An event whose attribute names
-// collide with STOMP transport headers (destination, receipt, ...) cannot
-// be encoded directly without changing legacy wire semantics; SendImage
-// reports ErrTransportAttr and callers fall back to the map path.
-// Validation errors are memoised like WireImage's.
+// the producer-side counterpart of WireImage, built at most once by the
+// same encoder, with a splice point where a per-publish receipt header
+// lands in its canonical sorted position (see
+// stomp.Encoder.EncodeSendImage). It fails only for an event that fails
+// Validate; the error is memoised like WireImage's.
 func (e *Event) SendImage() (*stomp.WireImage, error) {
-	if m := e.send.Load(); m != nil {
-		if m.err != nil {
-			return nil, m.err
+	return e.image(&e.send, stomp.CmdSend, &sendBuilds)
+}
+
+// image returns the image memoised in memo, encoding it for command on
+// first use and counting each canonical build in builds.
+func (e *Event) image(memo *atomic.Pointer[imageMemo], command string, builds *atomic.Uint64) (*stomp.WireImage, error) {
+	m := memo.Load()
+	if m == nil {
+		m = &imageMemo{}
+		m.err = buildImage(e, command, &m.img)
+		if memo.CompareAndSwap(nil, m) {
+			if m.err == nil {
+				builds.Add(1) // one canonical build per event
+			}
+		} else {
+			m = memo.Load()
 		}
-		return &m.img, nil
-	}
-	m := &sendMemo{}
-	m.err = buildSendImage(e, &m.img)
-	if e.send.CompareAndSwap(nil, m) {
-		if m.err == nil {
-			sendBuilds.Add(1) // one canonical build per event
-		}
-	} else {
-		m = e.send.Load()
 	}
 	if m.err != nil {
 		return nil, m.err

@@ -118,15 +118,18 @@ func TestString(t *testing.T) {
 	}
 }
 
+// The three tests below check the map-based reference codec itself
+// (oracle_test.go), which the equivalence tests and fuzzers trust.
+
 func TestMarshalHeadersRoundTrip(t *testing.T) {
 	e := New("/patient_report",
 		map[string]string{"patient_id": "1", "mdt": "7"},
 		label.Conf("ecric.org.uk/mdt/7"), label.Int("ecric.org.uk/mdt"))
 	e.Body = []byte(`{"field":"value"}`)
 
-	headers, body, err := MarshalHeaders(e)
+	headers, body, err := marshalHeaders(e)
 	if err != nil {
-		t.Fatalf("MarshalHeaders: %v", err)
+		t.Fatalf("marshalHeaders: %v", err)
 	}
 	if headers[HeaderDestination] != "/patient_report" {
 		t.Errorf("destination = %q", headers[HeaderDestination])
@@ -140,9 +143,9 @@ func TestMarshalHeadersRoundTrip(t *testing.T) {
 	headers["message-id"] = "m-1"
 	headers["content-length"] = "17"
 
-	back, err := UnmarshalHeaders(headers, body)
+	back, err := unmarshalHeaders(headers, body)
 	if err != nil {
-		t.Fatalf("UnmarshalHeaders: %v", err)
+		t.Fatalf("unmarshalHeaders: %v", err)
 	}
 	if back.Topic != e.Topic {
 		t.Errorf("Topic = %q", back.Topic)
@@ -162,33 +165,31 @@ func TestMarshalHeadersRoundTrip(t *testing.T) {
 }
 
 func TestMarshalHeadersRejectsInvalid(t *testing.T) {
-	if _, _, err := MarshalHeaders(&Event{}); err == nil {
-		t.Error("MarshalHeaders of invalid event succeeded")
+	if _, _, err := marshalHeaders(&Event{}); err == nil {
+		t.Error("marshalHeaders of invalid event succeeded")
 	}
 }
 
 func TestUnmarshalHeadersErrors(t *testing.T) {
-	if _, err := UnmarshalHeaders(map[string]string{}, nil); err == nil {
+	if _, err := unmarshalHeaders(map[string]string{}, nil); err == nil {
 		t.Error("missing destination accepted")
 	}
 	headers := map[string]string{
 		HeaderDestination: "/t",
 		HeaderLabels:      "not-a-label",
 	}
-	if _, err := UnmarshalHeaders(headers, nil); err == nil {
+	if _, err := unmarshalHeaders(headers, nil); err == nil {
 		t.Error("bad label header accepted")
 	}
 }
 
+// TestUnmarshalIgnoresClearanceHeader: a clearance header on an inbound
+// frame is transport metadata and never becomes an event attribute.
 func TestUnmarshalIgnoresClearanceHeader(t *testing.T) {
-	headers := map[string]string{
-		HeaderDestination: "/t",
-		HeaderClearance:   "label:conf:x",
-		"k":               "v",
-	}
-	e, err := UnmarshalHeaders(headers, nil)
+	v := decodeWire(t, []byte("SEND\ndestination:/t\nk:v\n"+HeaderClearance+":label\\cconf\\cx\n\n\x00"))
+	e, err := UnmarshalView(&v.Headers, v.Body, nil)
 	if err != nil {
-		t.Fatalf("UnmarshalHeaders: %v", err)
+		t.Fatalf("UnmarshalView: %v", err)
 	}
 	if _, ok := e.Attrs[HeaderClearance]; ok {
 		t.Error("clearance header leaked into attrs")

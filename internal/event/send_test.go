@@ -10,41 +10,12 @@ import (
 	"safeweb/internal/stomp"
 )
 
-// legacySendWire replicates the pre-fast-path Client.Publish byte stream
-// exactly: MarshalHeaders into a map, destination pulled out, a SEND
-// frame built header by header (with the receipt set in the map, as
-// SendReceipt did) and encoded. The direct SEND encoding is pinned
-// byte-for-byte against this.
-func legacySendWire(t testing.TB, e *Event, receipt string) []byte {
-	t.Helper()
-	headers, body, err := MarshalHeaders(e)
-	if err != nil {
-		t.Fatalf("MarshalHeaders: %v", err)
-	}
-	dest := headers[HeaderDestination]
-	delete(headers, HeaderDestination)
-	f := stomp.NewFrame(stomp.CmdSend)
-	for k, v := range headers {
-		f.SetHeader(k, v)
-	}
-	f.SetHeader(stomp.HdrDestination, dest)
-	if receipt != "" {
-		f.SetHeader(stomp.HdrReceipt, receipt)
-	}
-	f.Body = body
-	var buf bytes.Buffer
-	var enc stomp.Encoder
-	if err := enc.Encode(&buf, f); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// sendConformanceCorpus returns the canonical publish-side corpus: every
-// event shape the producer fast path must encode byte-identically to the
-// legacy map path — labels, attributes needing escaping, empty keys and
-// values, binary bodies, and keys that sort around the destination and
-// receipt headers.
+// sendConformanceCorpus returns the canonical wire corpus: every event
+// shape the image encoder must encode byte-identically to the map-based
+// references — labels, attributes needing escaping, empty keys and values,
+// binary bodies, keys that sort around the destination and receipt
+// headers, and attributes named like transport headers, which the encoder
+// drops.
 func sendConformanceCorpus() []struct {
 	name string
 	ev   *Event
@@ -84,71 +55,88 @@ func sendConformanceCorpus() []struct {
 			New("/département/7", map[string]string{"patient": "Zoë"}, label.Conf("ecric.org.uk/é")),
 			[]byte("café"))},
 		{"empty body labelled", New("/t", nil, label.Conf("a.org/x"))},
+		{"transport-named attrs dropped", New("/t", map[string]string{
+			"destination": "/evil", "receipt": "rcpt-1", "receipt-id": "rcpt-2",
+			"subscription": "sub-0", "message-id": "m-0", "content-length": "99",
+			"id": "sub-1", "ack": "client", "selector": "k = 'v'",
+			"transaction": "tx-1", "k": "v",
+		}, label.Conf("a.org/x"))},
 	}
 }
 
-// TestSendEncodingConformance pins the producer fast path to the legacy
-// wire dialect: for every corpus event, EncodeSend — with and without a
-// spliced receipt — must produce bytes identical to marshalling the event
-// into a header map and encoding a SEND frame from it, and the bytes must
-// decode back (through the server's view path) to the same event.
+// TestSendEncodingConformance pins both wire images to the map-based
+// references for every corpus event (see checkWireImages).
 func TestSendEncodingConformance(t *testing.T) {
 	for _, tc := range sendConformanceCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.ev.Freeze()
-			for _, receipt := range []string{"", "rcpt-42"} {
-				var got bytes.Buffer
-				var enc stomp.Encoder
-				if err := EncodeSend(&got, &enc, tc.ev, receipt); err != nil {
-					t.Fatalf("EncodeSend(receipt=%q): %v", receipt, err)
-				}
-				want := legacySendWire(t, tc.ev, receipt)
-				if !bytes.Equal(got.Bytes(), want) {
-					t.Errorf("receipt=%q: wire bytes differ:\nfast:   %q\nlegacy: %q",
-						receipt, got.Bytes(), want)
-				}
-
-				// The server path must reconstruct the same event.
-				v, err := stomp.NewDecoder(bytes.NewReader(got.Bytes())).DecodeView()
-				if err != nil {
-					t.Fatalf("DecodeView: %v", err)
-				}
-				back, err := UnmarshalView(&v.Headers, v.Body, nil)
-				if err != nil {
-					t.Fatalf("UnmarshalView: %v", err)
-				}
-				if back.Topic != tc.ev.Topic || !back.Labels.Equal(tc.ev.Labels) ||
-					!reflect.DeepEqual(back.Attrs, tc.ev.Attrs) ||
-					!bytes.Equal(back.Body, tc.ev.Body) {
-					t.Errorf("round trip changed event:\nsent: %v\ngot:  %v", tc.ev, back)
-				}
-			}
+			checkWireImages(t, tc.ev)
 		})
 	}
 }
 
-// TestSendImageTransportAttrGate: events whose attribute names collide
-// with STOMP transport headers cannot take the direct encoding (the
-// legacy map path resolves them by overwrite); SendImage must refuse them
-// with ErrTransportAttr so the client falls back.
-func TestSendImageTransportAttrGate(t *testing.T) {
-	for _, k := range []string{
-		"destination", "receipt", "receipt-id", "subscription", "message-id",
-		"content-length", "id", "ack", "selector", "transaction",
-	} {
-		ev := New("/t", map[string]string{k: "v"})
-		ev.Freeze()
-		if _, err := ev.SendImage(); !errors.Is(err, ErrTransportAttr) {
-			t.Errorf("SendImage with %q attr: err = %v, want ErrTransportAttr", k, err)
+// checkWireImages pins a frozen, valid event's images to the map-based
+// references for the event minus its transport-named attributes: SEND
+// with and without a spliced receipt, and MESSAGE. Each image must also
+// decode, through the view path the receiving side runs, back to that
+// same event.
+func checkWireImages(t testing.TB, ev *Event) {
+	t.Helper()
+	want := withoutTransportAttrs(ev)
+	send, err := ev.SendImage()
+	if err != nil {
+		t.Fatalf("SendImage rejected a valid event: %v", err)
+	}
+	var enc stomp.Encoder
+	for _, receipt := range []string{"", "rcpt-42"} {
+		var got bytes.Buffer
+		if err := enc.EncodeSendImage(&got, send, receipt); err != nil {
+			t.Fatalf("EncodeSendImage: %v", err)
 		}
+		if ref := legacySendWire(t, want, receipt); !bytes.Equal(got.Bytes(), ref) {
+			t.Fatalf("receipt=%q: SEND bytes differ from the reference:\nimage: %q\nref:   %q",
+				receipt, got.Bytes(), ref)
+		}
+		checkDecodes(t, got.Bytes(), stomp.CmdSend, receipt, want)
 	}
 
-	// Reserved attributes are a validation error, not a fallback: both
-	// paths must keep rejecting them outright.
-	ev := &Event{Topic: "/t", Attrs: map[string]string{ReservedPrefix + "labels": "x"}}
-	ev.Freeze()
-	if _, err := ev.SendImage(); !errors.Is(err, ErrReservedAttribute) {
-		t.Errorf("SendImage with reserved attr: err = %v, want ErrReservedAttribute", err)
+	msg, err := ev.WireImage()
+	if err != nil {
+		t.Fatalf("WireImage rejected a valid event: %v", err)
+	}
+	if ref := legacyMessageImage(t, want); !bytes.Equal(msg.Bytes(), ref.Bytes()) || msg.Split() != ref.Split() {
+		t.Fatalf("MESSAGE image differs from the reference:\nimage: %q (split %d)\nref:   %q (split %d)",
+			msg.Bytes(), msg.Split(), ref.Bytes(), ref.Split())
+	}
+	var got bytes.Buffer
+	if err := enc.EncodeImage(&got, msg, "sub-1", "m-1-", 1); err != nil {
+		t.Fatalf("EncodeImage: %v", err)
+	}
+	checkDecodes(t, got.Bytes(), stomp.CmdMessage, "", want)
+}
+
+// checkDecodes decodes one frame of wire bytes through DecodeView and
+// UnmarshalView and requires the given command and receipt header and an
+// event equal to want.
+func checkDecodes(t testing.TB, wire []byte, command, receipt string, want *Event) {
+	t.Helper()
+	v, err := stomp.NewDecoder(bytes.NewReader(wire)).DecodeView()
+	if err != nil {
+		t.Fatalf("DecodeView of %s image: %v", command, err)
+	}
+	if v.Command != command {
+		t.Fatalf("decoded command %q, want %s", v.Command, command)
+	}
+	if r := v.Headers.Header(stomp.HdrReceipt); r != receipt {
+		t.Fatalf("%s: decoded receipt %q, want %q", command, r, receipt)
+	}
+	back, err := UnmarshalView(&v.Headers, v.Body, nil)
+	if err != nil {
+		t.Fatalf("UnmarshalView of %s image: %v", command, err)
+	}
+	if back.Topic != want.Topic || !back.Labels.Equal(want.Labels) ||
+		!reflect.DeepEqual(back.Attrs, want.Attrs) || !bytes.Equal(back.Body, want.Body) {
+		t.Fatalf("%s round trip changed the event:\nwant: %v\ngot:  %v", command, want, back)
 	}
 }
 
@@ -197,7 +185,14 @@ func TestSendImageMemoised(t *testing.T) {
 
 // TestSendImageErrorMemoised: an event that cannot marshal reports the
 // error on every call without re-encoding or bumping the build counter.
+// An attribute in the reserved namespace is such an error, not a drop.
 func TestSendImageErrorMemoised(t *testing.T) {
+	reserved := &Event{Topic: "/t", Attrs: map[string]string{ReservedPrefix + "labels": "x"}}
+	reserved.Freeze()
+	if _, err := reserved.SendImage(); !errors.Is(err, ErrReservedAttribute) {
+		t.Errorf("SendImage with reserved attr: err = %v, want ErrReservedAttribute", err)
+	}
+
 	ev := &Event{Topic: ""}
 	ev.Freeze()
 	before := SendImageBuilds()

@@ -10,8 +10,8 @@ import (
 
 // TestWireImageMemoised pins the publish-once property at the event
 // level: repeated WireImage calls on a frozen event return the same
-// image, the build counter moves exactly once, and the bytes match an
-// independent encode of the event's marshalled headers.
+// image, the build counter moves exactly once, and the bytes match the
+// map-based MESSAGE reference.
 func TestWireImageMemoised(t *testing.T) {
 	ev := New("/patient_report", map[string]string{"patient_id": "1"}, label.Conf("ecric.org.uk/mdt/7"))
 	ev.Body = []byte(`{"record": true}`)
@@ -33,11 +33,7 @@ func TestWireImageMemoised(t *testing.T) {
 		t.Errorf("WireImageBuilds delta = %d, want 1", got)
 	}
 
-	headers, body, err := MarshalHeaders(ev)
-	if err != nil {
-		t.Fatalf("MarshalHeaders: %v", err)
-	}
-	want := stomp.NewMessageImage(headers, body)
+	want := legacyMessageImage(t, ev)
 	var gotWire, wantWire bytes.Buffer
 	var enc stomp.Encoder
 	if err := enc.EncodeImage(&gotWire, img1, "sub-1", "m-1-", 1); err != nil {
@@ -68,6 +64,36 @@ func TestWireImageErrorMemoised(t *testing.T) {
 	}
 	if got := WireImageBuilds() - before; got != 0 {
 		t.Errorf("failed WireImage bumped build counter by %d", got)
+	}
+}
+
+// TestColdWireImageAllocs pins the shared encoder on the MESSAGE side:
+// building a fresh frozen event's MESSAGE image costs no more allocations
+// than building its SEND image (the memo and the image buffer).
+func TestColdWireImageAllocs(t *testing.T) {
+	cold := func(image func(*Event) (*stomp.WireImage, error)) float64 {
+		const runs = 200
+		evs := make([]*Event, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range evs {
+			evs[i] = New("/patient_report",
+				map[string]string{"patient_id": "33812769", "type": "cancer"},
+				label.Conf("ecric.org.uk/mdt/7"))
+			evs[i].Body = []byte(`{"summary": "report", "mdt": 7}`)
+			evs[i].Freeze()
+		}
+		i := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := image(evs[i]); err != nil {
+				t.Fatalf("image: %v", err)
+			}
+			i++
+		})
+	}
+	send := cold((*Event).SendImage)
+	wire := cold((*Event).WireImage)
+	t.Logf("cold image allocs/op: SEND %g, MESSAGE %g", send, wire)
+	if wire > send {
+		t.Errorf("cold WireImage = %g allocs/op, cold SendImage = %g: want WireImage <= SendImage", wire, send)
 	}
 }
 

@@ -16,6 +16,35 @@ func TestSetStringAllocs(t *testing.T) {
 	if got := NewSet().String(); got != "" {
 		t.Errorf("empty String = %q", got)
 	}
+	multi := NewSet(Conf("ecric.org.uk/patient/1"), Int("ecric.org.uk/app"), Conf("ecric.org.uk/mdt/7"))
+	if got := testing.AllocsPerRun(1000, func() { _ = multi.String() }); got > 1 {
+		t.Errorf("three-label Set.String allocs/op = %v, want <= 1", got)
+	}
+	want := "label:conf:ecric.org.uk/mdt/7,label:conf:ecric.org.uk/patient/1,label:int:ecric.org.uk/app"
+	if got := multi.String(); got != want {
+		t.Errorf("three-label String = %q, want %q", got, want)
+	}
+	// A zero label sorts by its placeholder URI like any other.
+	if got := NewSet(Int("z"), Label{}, Conf("a")).String(); got != "label:conf:a,label:int:z,label:invalid:" {
+		t.Errorf("String with zero label = %q", got)
+	}
+}
+
+// TestDeriveSharesFirstSource pins Derive's fast path: deriving from
+// sources that add no confidentiality label to the first and keep its
+// integrity labels returns the first set without allocating, and a first
+// set holding a label of no known kind still takes the rule-based path.
+func TestDeriveSharesFirstSource(t *testing.T) {
+	s := NewSet(Conf("a"), Conf("b"), Int("i"))
+	if got := testing.AllocsPerRun(1000, func() { _ = Derive(s, s) }); got != 0 {
+		t.Errorf("Derive(s, s) allocs/op = %v, want 0", got)
+	}
+	if got := Derive(s, NewSet(Conf("a"), Int("i"), Int("j"))); !got.Equal(s) {
+		t.Errorf("Derive(s, subset) = %v, want %v", got, s)
+	}
+	if got := Derive(NewSet(Conf("a"), Label{})); !got.Equal(NewSet(Conf("a"))) {
+		t.Errorf("Derive dropped no kindless label: %v", got)
+	}
 }
 
 // TestOfKindSharesHomogeneousSets pins the allocation-free partition fast

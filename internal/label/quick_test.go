@@ -3,6 +3,8 @@ package label
 import (
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -128,14 +130,56 @@ func TestQuickDeriveAssociative(t *testing.T) {
 	}
 }
 
-// TestQuickSetStringRoundTrip checks the wire representation parses back to
-// an equal set.
+// TestQuickSetStringRoundTrip checks the wire representation is the sorted
+// label URIs joined by commas and parses back to an equal set.
 func TestQuickSetStringRoundTrip(t *testing.T) {
 	prop := func(a quickSet) bool {
+		var uris []string
+		for l := range a.Set {
+			uris = append(uris, l.String())
+		}
+		sort.Strings(uris)
+		if a.String() != strings.Join(uris, ",") {
+			return false
+		}
 		back, err := ParseSet(a.String())
 		return err == nil && back.Equal(a.Set)
 	}
 	if err := quick.Check(prop, _quickCfg); err != nil {
 		t.Errorf("set string round trip failed: %v", err)
+	}
+}
+
+// deriveByRules is Derive spelled out by the composition rules: the union
+// of the sources' confidentiality labels and the intersection of their
+// integrity labels.
+func deriveByRules(sources ...Set) Set {
+	conf := sources[0].Confidentiality()
+	integ := sources[0].Integrity()
+	for _, src := range sources[1:] {
+		conf = conf.Union(src.Confidentiality())
+		integ = integ.Intersect(src.Integrity())
+	}
+	return conf.Union(integ)
+}
+
+// TestQuickDeriveByRules checks Derive, including its shared-first-source
+// fast path, against the composition rules, with source lists that take
+// the fast path ([a], [a, a], [a∪b, conf(a)]) and lists that do not.
+func TestQuickDeriveByRules(t *testing.T) {
+	prop := func(a, b, c quickSet) bool {
+		ab := a.Union(b.Set)
+		for _, srcs := range [][]Set{
+			{a.Set}, {a.Set, a.Set}, {a.Set, b.Set}, {a.Set, b.Set, c.Set},
+			{ab, a.Confidentiality()}, {a.Set, ab}, {ab, a.Set},
+		} {
+			if !Derive(srcs...).Equal(deriveByRules(srcs...)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, _quickCfg); err != nil {
+		t.Errorf("Derive disagrees with the composition rules: %v", err)
 	}
 }

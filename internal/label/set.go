@@ -1,7 +1,7 @@
 package label
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -221,12 +221,30 @@ func (s Set) Integrity() Set { return s.OfKind(Integrity) }
 
 // Sorted returns the labels in deterministic (lexicographic URI) order.
 func (s Set) Sorted() []Label {
-	out := make([]Label, 0, len(s))
+	return s.appendSorted(make([]Label, 0, len(s)))
+}
+
+// appendSorted appends the labels to dst in URI order and returns the
+// extended slice.
+func (s Set) appendSorted(dst []Label) []Label {
 	for l := range s {
-		out = append(out, l)
+		dst = append(dst, l)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
+	slices.SortFunc(dst, compareURI)
+	return dst
+}
+
+// compareURI orders labels as their URIs would sort, without building the
+// URIs: every valid label URI is the scheme, the kind, ":" and the name,
+// and neither kind segment is a prefix of the other.
+func compareURI(a, b Label) int {
+	if !a.kind.Valid() || !b.kind.Valid() {
+		return strings.Compare(a.String(), b.String())
+	}
+	if a.kind != b.kind {
+		return strings.Compare(a.kind.String(), b.kind.String())
+	}
+	return strings.Compare(a.name, b.name)
 }
 
 // Strings returns the sorted label URIs.
@@ -240,7 +258,8 @@ func (s Set) Strings() []string {
 }
 
 // String renders the set as a comma-separated list of sorted label URIs,
-// the representation used in STOMP headers and document metadata.
+// the representation used in STOMP headers and document metadata. Sets of
+// up to eight labels render with the one allocation of the result.
 func (s Set) String() string {
 	switch len(s) {
 	case 0:
@@ -250,7 +269,28 @@ func (s Set) String() string {
 			return l.String()
 		}
 	}
-	return strings.Join(s.Strings(), ",")
+	var buf [8]Label
+	labels := s.appendSorted(buf[:0])
+	n := len(labels) - 1
+	for _, l := range labels {
+		n += len(_scheme) + len(l.kind.String()) + 1 + len(l.name)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for i, l := range labels {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		if l.IsZero() {
+			b.WriteString(l.String())
+			continue
+		}
+		b.WriteString(_scheme)
+		b.WriteString(l.kind.String())
+		b.WriteByte(':')
+		b.WriteString(l.name)
+	}
+	return b.String()
 }
 
 // MarshalText implements encoding.TextMarshaler using the comma-separated
@@ -273,10 +313,16 @@ func (s *Set) UnmarshalText(text []byte) error {
 // following the paper's composition rules (§4.1): confidentiality labels are
 // sticky (union across sources) and integrity labels are fragile
 // (intersection across sources). Deriving from zero sources yields the
-// empty set.
+// empty set. When the other sources add no confidentiality label to the
+// first and keep all its integrity labels — a single source, or sources
+// that all carry the same labels — the first source itself is returned
+// (sets are immutable by convention), without allocating.
 func Derive(sources ...Set) Set {
 	if len(sources) == 0 {
 		return nil
+	}
+	if derivesToFirst(sources) {
+		return sources[0]
 	}
 	conf := sources[0].Confidentiality()
 	integ := sources[0].Integrity()
@@ -285,4 +331,30 @@ func Derive(sources ...Set) Set {
 		integ = integ.Intersect(src.Integrity())
 	}
 	return conf.Union(integ)
+}
+
+// derivesToFirst reports whether Derive(sources...) equals sources[0]:
+// every label of sources[0] is of a known kind, every other source's
+// confidentiality labels are already in it and every other source keeps
+// its integrity labels.
+func derivesToFirst(sources []Set) bool {
+	first := sources[0]
+	for l := range first {
+		if !l.kind.Valid() {
+			return false
+		}
+	}
+	for _, src := range sources[1:] {
+		for l := range src {
+			if l.kind == Confidentiality && !first.Contains(l) {
+				return false
+			}
+		}
+		for l := range first {
+			if l.kind == Integrity && !src.Contains(l) {
+				return false
+			}
+		}
+	}
+	return true
 }

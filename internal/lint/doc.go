@@ -18,8 +18,8 @@
 //
 // noretain enforces goroutine confinement and pooling lifecycles: a
 // stomp.FrameView or stomp.HeaderView is invalidated by the next decode,
-// an engine.Context is reset between callbacks, and event.DecodeCache and
-// event.LabelCache are goroutine-confined memo tables. The analyzer flags
+// an engine.Context is reset between callbacks, and event.DecodeCache is
+// a goroutine-confined memo table. The analyzer flags
 // values of those types escaping their confinement — stored to a struct
 // field or package-level variable, sent on a channel, or handed to a
 // goroutine (as a `go` argument or captured by a `go` closure) — outside

@@ -12,7 +12,7 @@ import (
 // NoRetain flags goroutine-confined or pooled values escaping their
 // confinement: stomp.FrameView/HeaderView (invalidated by the next
 // decode), engine.Context (reset between callbacks), event.DecodeCache
-// and event.LabelCache (goroutine-confined memo tables), and the pooled
+// (a goroutine-confined memo table), and the pooled
 // *event.Event parameter of a subscription callback literal (recycled by
 // Release when the callback returns). An escape is a store to a struct
 // field or package-level variable, a channel send, or a hand-off to a
@@ -37,7 +37,6 @@ var confinedTypes = []struct {
 	{stompPkg, "HeaderView", true, "a HeaderView is confined to its decoder's read loop and invalidated by the next decode"},
 	{enginePkg, "Context", false, "a pooled Context is reset per event and invalidated between callbacks"},
 	{eventPkg, "DecodeCache", false, "a DecodeCache is a goroutine-confined memo table"},
-	{eventPkg, "LabelCache", false, "a LabelCache is a goroutine-confined memo table"},
 }
 
 func runNoRetain(pass *analysis.Pass) (interface{}, error) {

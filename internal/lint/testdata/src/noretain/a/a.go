@@ -9,12 +9,11 @@ import (
 )
 
 type sink struct {
-	view   stomp.FrameView
-	hdr    *stomp.HeaderView
-	cache  *event.DecodeCache
-	labels *event.LabelCache
-	ctx    *engine.Context
-	ev     *event.Event
+	view  stomp.FrameView
+	hdr   *stomp.HeaderView
+	cache *event.DecodeCache
+	ctx   *engine.Context
+	ev    *event.Event
 }
 
 var globalView stomp.FrameView
@@ -47,12 +46,12 @@ func goClosureCapture(ctx *engine.Context) {
 	}()
 }
 
-func goArgHandoff(c *event.LabelCache) {
-	go consumeLabels(c) // want `confined value passed to a goroutine`
+func goArgHandoff(c *event.DecodeCache) {
+	go consumeCache(c) // want `confined value passed to a goroutine`
 }
 
 func useContext(ctx *engine.Context)    {}
-func consumeLabels(c *event.LabelCache) {}
+func consumeCache(c *event.DecodeCache) {}
 
 type owner struct{ cache event.DecodeCache }
 

@@ -19,6 +19,3 @@ func (e *Event) Get(k string) string { return e.Attrs[k] }
 
 // DecodeCache is a goroutine-confined memo table in the real package.
 type DecodeCache struct{ m map[string]string }
-
-// LabelCache is a goroutine-confined memo table in the real package.
-type LabelCache struct{ m map[string]uint64 }

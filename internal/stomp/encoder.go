@@ -4,18 +4,16 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // maxRetainedEncodeBuf bounds the scratch capacity an Encoder keeps
 // between frames; encoding one huge body must not pin its buffer forever.
 const maxRetainedEncodeBuf = 64 * 1024
 
-// Encoder encodes STOMP frames. It is the allocation-free counterpart of
-// WriteFrame: each frame is assembled into a scratch buffer reused across
-// Encode calls and handed to the destination in a single Write, with the
-// deterministic (sorted) header order preserved via a reused
-// insertion-sorted key slice. An Encoder is not safe for concurrent use;
+// Encoder encodes STOMP frames allocation-free: each frame is assembled
+// into a scratch buffer reused across Encode calls and handed to the
+// destination in a single Write, with the deterministic (sorted) header
+// order preserved via a reused insertion-sorted key slice. An Encoder is not safe for concurrent use;
 // each connection writer owns one.
 type Encoder struct {
 	buf  []byte
@@ -23,48 +21,18 @@ type Encoder struct {
 }
 
 // Encode writes one frame to w. A content-length header is always emitted
-// so bodies may contain NUL bytes. The wire bytes are identical to
-// WriteFrame's.
+// so bodies may contain NUL bytes.
 func (e *Encoder) Encode(w io.Writer, f *Frame) error {
-	return e.encode(w, f, "", "", 0)
-}
-
-// EncodeMessage writes f as a broadcast MESSAGE carrying the given
-// subscription and message-id (idPrefix followed by the decimal seq)
-// routing headers in addition to f's own. The base frame is shared across
-// deliveries and never mutated or cloned — the per-peer headers exist
-// only on the wire. Base headers named like the routing headers are
-// dropped in their favour.
-func (e *Encoder) EncodeMessage(w io.Writer, f *Frame, subscription, idPrefix string, seq uint64) error {
-	return e.encode(w, f, subscription, idPrefix, seq)
-}
-
-func (e *Encoder) encode(w io.Writer, f *Frame, subscription, idPrefix string, seq uint64) error {
 	if f.Command == "" {
 		return protoErrorf("cannot write frame with empty command")
 	}
-	routed := subscription != ""
 	b := append(e.buf[:0], f.Command...)
 	b = append(b, '\n')
 	e.keys = sortedHeaderKeys(e.keys[:0], f.Headers, HdrContentLength)
 	for _, k := range e.keys {
-		if routed && (k == HdrSubscription || k == HdrMessageID) {
-			continue
-		}
 		b = appendEscapedHeader(b, k)
 		b = append(b, ':')
 		b = appendEscapedHeader(b, f.Headers[k])
-		b = append(b, '\n')
-	}
-	if routed {
-		b = append(b, HdrSubscription...)
-		b = append(b, ':')
-		b = appendEscapedHeader(b, subscription)
-		b = append(b, '\n')
-		b = append(b, HdrMessageID...)
-		b = append(b, ':')
-		b = appendEscapedHeader(b, idPrefix)
-		b = strconv.AppendUint(b, seq, 10)
 		b = append(b, '\n')
 	}
 	b = append(b, HdrContentLength...)
@@ -119,16 +87,4 @@ func appendEscapedHeader(b []byte, s string) []byte {
 		}
 	}
 	return b
-}
-
-var encoderPool = sync.Pool{New: func() any { return new(Encoder) }}
-
-// WriteFrame encodes a frame to w. A content-length header is always
-// emitted so bodies may contain NUL bytes. It is a convenience wrapper
-// over a pooled Encoder; connection writers hold their own.
-func WriteFrame(w io.Writer, f *Frame) error {
-	enc := encoderPool.Get().(*Encoder)
-	err := enc.Encode(w, f)
-	encoderPool.Put(enc)
-	return err
 }

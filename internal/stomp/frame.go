@@ -24,26 +24,25 @@
 //     transfers to the consumer (package event hands it to the decoded
 //     event without copying).
 //   - The header map is materialised lazily — FrameView.Materialize — only
-//     for callers that mutate headers or retain the frame; Decoder.Decode
-//     and ReadFrame remain as that compatibility path.
+//     for callers that mutate headers or retain the frame (Decoder.Decode).
 //
 // # Encode fast path
 //
-// The encode counterpart is the preencoded WireImage: NewMessageImage
-// freezes a MESSAGE's canonical header block and body into an immutable
-// byte image once, and Encoder.EncodeImage splices only the per-delivery
-// subscription/message-id routing headers around it. Images are immutable
-// and safe for concurrent use — the broker builds one per published event
-// (event.Event.WireImage) and shares it across every session and shard,
-// so fan-out to S sessions costs one marshal instead of S. Wire bytes are
-// identical to EncodeMessage's for the same logical frame.
-//
-// The producer side mirrors it: ImageBuilder assembles a SEND image
-// directly from ordered headers (no map — package event encodes a frozen
-// event's fields straight in, event.Event.SendImage), and
-// Encoder.EncodeSendImage writes it with the per-publish receipt header
-// spliced at its canonical sorted position, so the bytes are identical to
-// encoding the same frame with the receipt in its header map. Receipt
+// Event traffic never builds a Frame either. ImageBuilder freezes a
+// frame's canonical (sorted, escaped) header block and body into an
+// immutable WireImage in one pass from ordered headers, with no map;
+// package event builds both of an event's images — MESSAGE
+// (event.Event.WireImage) and SEND (event.Event.SendImage) — with one
+// encoder on top of it. Images are immutable and safe for concurrent use.
+// On delivery, Encoder.EncodeImage splices only the per-delivery
+// subscription/message-id routing headers around a MESSAGE image; the
+// broker builds one image per published event and shares it across every
+// session and shard, so fan-out to S sessions costs one marshal instead
+// of S. On publish, Encoder.EncodeSendImage writes a SEND image with the
+// per-publish receipt header spliced at its canonical sorted position, so
+// the bytes are identical to Encoder.Encode of the same frame with the
+// receipt in its header map. Encoder.Encode itself serves control frames
+// (CONNECT, SUBSCRIBE, ACK, RECEIPT, ERROR, ...). Receipt
 // tracking has an asynchronous form for windowed publishing:
 // Client.SendImageAsync returns a Receipt whose Wait settles later,
 // letting a producer keep a window of confirmed-in-order sends in flight
@@ -160,27 +159,15 @@ func (f *Frame) SetHeader(name, value string) {
 
 // Clone returns a deep copy of the frame.
 func (f *Frame) Clone() *Frame {
-	out := f.ShallowClone()
-	if f.Body != nil {
-		out.Body = append([]byte(nil), f.Body...)
-	}
-	return out
-}
-
-// ShallowClone returns a copy of the frame with copied headers and a body
-// shared with the receiver, for paths that rewrite headers on one logical
-// message without duplicating its payload; callers must treat the shared
-// body as immutable. The header map carries slack for the headers such
-// callers typically add. (The broker's fan-out delivery goes further and
-// avoids even the header copy: Encoder.EncodeMessage emits per-peer
-// routing headers straight onto the wire from a shared base frame.)
-func (f *Frame) ShallowClone() *Frame {
-	out := &Frame{Command: f.Command, Body: f.Body}
+	out := &Frame{Command: f.Command}
 	if f.Headers != nil {
-		out.Headers = make(map[string]string, len(f.Headers)+2)
+		out.Headers = make(map[string]string, len(f.Headers))
 		for k, v := range f.Headers {
 			out.Headers[k] = v
 		}
+	}
+	if f.Body != nil {
+		out.Body = append([]byte(nil), f.Body...)
 	}
 	return out
 }

@@ -174,21 +174,9 @@ func TestFrameClone(t *testing.T) {
 	}
 }
 
-func TestFrameShallowClone(t *testing.T) {
-	f := NewFrame(CmdMessage)
-	f.SetHeader("k", "v")
-	f.Body = []byte("shared")
-	c := f.ShallowClone()
-	c.SetHeader("k", "changed")
-	c.SetHeader(HdrSubscription, "sub-1")
-	if f.Header("k") != "v" || f.Header(HdrSubscription) != "" {
-		t.Error("ShallowClone shares headers")
-	}
-	if &c.Body[0] != &f.Body[0] {
-		t.Error("ShallowClone copied the body")
-	}
-}
-
+// TestEncodeMessageRoutingHeaders: a MESSAGE delivery carries the
+// per-delivery routing headers spliced around its image, escaped, with a
+// stale same-named base header dropped, and the base frame untouched.
 func TestEncodeMessageRoutingHeaders(t *testing.T) {
 	base := NewFrame(CmdMessage)
 	base.SetHeader(HdrDestination, "/t")
@@ -197,8 +185,8 @@ func TestEncodeMessageRoutingHeaders(t *testing.T) {
 
 	var buf bytes.Buffer
 	var enc Encoder
-	if err := enc.EncodeMessage(&buf, base, "sub:7", "m-3-", 42); err != nil {
-		t.Fatalf("EncodeMessage: %v", err)
+	if err := enc.EncodeImage(&buf, imageFromFrame(base), "sub:7", "m-3-", 42); err != nil {
+		t.Fatalf("EncodeImage: %v", err)
 	}
 	back, err := ReadFrame(bufio.NewReader(&buf))
 	if err != nil {
@@ -215,7 +203,7 @@ func TestEncodeMessageRoutingHeaders(t *testing.T) {
 	}
 	// The shared base frame must not have been touched.
 	if base.Header(HdrSubscription) != "stale" || len(base.Headers) != 2 {
-		t.Errorf("EncodeMessage mutated the base frame: %v", base)
+		t.Errorf("image encode mutated the base frame: %v", base)
 	}
 }
 

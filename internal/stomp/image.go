@@ -18,8 +18,8 @@ import (
 // at publish time on the producer — and then shared by every send of the
 // same logical frame: fan-out to S sessions (or S retried/fan-in
 // publishes) costs one marshal instead of S. The backing buffer is
-// immutable after NewMessageImage or ImageBuilder.Finish returns; images
-// are safe for concurrent use and must never be mutated.
+// immutable after ImageBuilder.Finish returns; images are safe for
+// concurrent use and must never be mutated.
 type WireImage struct {
 	// buf holds the full image: command line plus sorted base headers up
 	// to split, content-length header, blank line, body and the NUL
@@ -35,11 +35,11 @@ type WireImage struct {
 
 // RawMessageImage wraps already-encoded MESSAGE image bytes — typically
 // read back from a durable journal — without copying or re-marshalling.
-// buf must be a full image as produced by NewMessageImage or package
-// event's builder (command line, header block, content-length, body,
-// NUL), and split its routing-header splice offset; both come verbatim
-// from Bytes and Split of the image that was persisted. The caller hands
-// over ownership: buf must not be mutated afterwards.
+// buf must be a full image as produced by ImageBuilder (command line,
+// header block, content-length, body, NUL), and split its routing-header
+// splice offset; both come verbatim from Bytes and Split of the image
+// that was persisted. The caller hands over ownership: buf must not be
+// mutated afterwards.
 func RawMessageImage(buf []byte, split int) *WireImage {
 	return &WireImage{buf: buf, split: split, rsplit: split}
 }
@@ -66,31 +66,10 @@ func (img *WireImage) Suffix() []byte { return img.buf[img.split:] }
 // routing headers.
 func (img *WireImage) WireLen() int { return len(img.buf) }
 
-// NewMessageImage encodes a MESSAGE frame with the given headers and body
-// into a wire image. The subscription and message-id headers are reserved
-// for per-delivery routing and are dropped if present, exactly as
-// Encoder.EncodeMessage drops them; content-length is always derived from
-// body. The bytes an image puts on the wire (with routing headers spliced
-// in) are identical to EncodeMessage's for the same logical frame.
-//
-// headers and body are copied; the caller keeps ownership.
-func NewMessageImage(headers map[string]string, body []byte) *WireImage {
-	bld := NewImageBuilder(CmdMessage, imageSizeHint(headers, body))
-	keys := sortedHeaderKeys(make([]string, 0, len(headers)), headers, HdrContentLength)
-	for _, k := range keys {
-		if k == HdrSubscription || k == HdrMessageID {
-			continue
-		}
-		bld.Header(k, headers[k])
-	}
-	img := bld.Finish(body)
-	return &img
-}
-
 // ImageBuilder assembles a WireImage from headers supplied one at a time,
-// for map-free producers (package event encodes a frozen event's SEND
-// image straight from its fields, with no intermediate header map).
-// Callers must supply headers in the canonical sorted order the Encoder
+// for map-free producers (package event encodes a frozen event's SEND and
+// MESSAGE images straight from its fields, with no intermediate header
+// map). Callers must supply headers in the canonical sorted order the Encoder
 // emits, and must not pass content-length (derived from the body by
 // Finish) nor, for images destined for EncodeImage, the subscription and
 // message-id routing headers.
@@ -138,16 +117,6 @@ func (b *ImageBuilder) Finish(body []byte) WireImage {
 	buf = append(buf, 0)
 	b.buf = nil
 	return WireImage{buf: buf, split: split, rsplit: b.rsplit}
-}
-
-// imageSizeHint estimates the encoded size so the common case builds the
-// image in a single allocation.
-func imageSizeHint(headers map[string]string, body []byte) int {
-	n := len(CmdMessage) + len(HdrContentLength) + 24 + len(body)
-	for k, v := range headers {
-		n += len(k) + len(v) + 2
-	}
-	return n
 }
 
 // EncodeImage writes a preencoded MESSAGE image to w with the per-delivery

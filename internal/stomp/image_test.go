@@ -7,15 +7,16 @@ import (
 	"testing"
 )
 
-// imageFromFrame builds the wire image for a frame's headers and body, the
-// way the event layer builds one from a published event.
+// imageFromFrame builds the MESSAGE wire image for a frame's headers and
+// body.
 func imageFromFrame(f *Frame) *WireImage {
-	return NewMessageImage(f.Headers, f.Body)
+	return imageOf(CmdMessage, f.Headers, f.Body)
 }
 
 // TestEncodeImageMatchesEncodeMessage is the wire-conformance anchor for
 // the preencoded path: for the same logical MESSAGE and routing headers,
-// EncodeImage must put byte-identical data on the wire to EncodeMessage —
+// EncodeImage must put byte-identical data on the wire to the map-based
+// encodeMessage reference —
 // including header escaping, sorted order, routing-header replacement and
 // content-length framing.
 func TestEncodeImageMatchesEncodeMessage(t *testing.T) {
@@ -56,14 +57,14 @@ func TestEncodeImageMatchesEncodeMessage(t *testing.T) {
 		for sname, sub := range subs {
 			var viaMessage, viaImage bytes.Buffer
 			var enc Encoder
-			if err := enc.EncodeMessage(&viaMessage, f, sub, "m-9-", 4711); err != nil {
-				t.Fatalf("%s/%s: EncodeMessage: %v", fname, sname, err)
+			if err := encodeMessage(&viaMessage, f, sub, "m-9-", 4711); err != nil {
+				t.Fatalf("%s/%s: encodeMessage: %v", fname, sname, err)
 			}
 			if err := enc.EncodeImage(&viaImage, img, sub, "m-9-", 4711); err != nil {
 				t.Fatalf("%s/%s: EncodeImage: %v", fname, sname, err)
 			}
 			if !bytes.Equal(viaMessage.Bytes(), viaImage.Bytes()) {
-				t.Errorf("%s/%s: image bytes differ from EncodeMessage:\n%q\n%q",
+				t.Errorf("%s/%s: image bytes differ from encodeMessage:\n%q\n%q",
 					fname, sname, viaMessage.Bytes(), viaImage.Bytes())
 			}
 
@@ -99,8 +100,8 @@ func TestEncodeImageConformanceCorpus(t *testing.T) {
 		img := imageFromFrame(f)
 		var viaMessage, viaImage bytes.Buffer
 		var enc Encoder
-		if err := enc.EncodeMessage(&viaMessage, f, "sub-1", "m-1-", 1); err != nil {
-			t.Fatalf("%s: EncodeMessage: %v", tc.name, err)
+		if err := encodeMessage(&viaMessage, f, "sub-1", "m-1-", 1); err != nil {
+			t.Fatalf("%s: encodeMessage: %v", tc.name, err)
 		}
 		if err := enc.EncodeImage(&viaImage, img, "sub-1", "m-1-", 1); err != nil {
 			t.Fatalf("%s: EncodeImage: %v", tc.name, err)

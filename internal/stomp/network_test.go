@@ -45,9 +45,7 @@ func (h *echoHandler) OnFrame(sess *Session, f *Frame) error {
 		if subID == "" {
 			return nil
 		}
-		// Broadcast-style re-delivery: the body is shared, only headers
-		// are copied for the routing rewrite.
-		msg := f.ShallowClone()
+		msg := f.Clone()
 		msg.Command = CmdMessage
 		msg.SetHeader(HdrSubscription, subID)
 		msg.SetHeader(HdrMessageID, "m-1")
@@ -89,8 +87,8 @@ func TestClientServerEcho(t *testing.T) {
 	}
 
 	headers := map[string]string{"patient_id": "1"}
-	if err := client.SendReceipt("/topic", headers, []byte("payload"), 5*time.Second); err != nil {
-		t.Fatalf("SendReceipt: %v", err)
+	if err := client.SendImageReceipt(sendImage("/topic", headers, []byte("payload")), 5*time.Second); err != nil {
+		t.Fatalf("SendImageReceipt: %v", err)
 	}
 
 	select {
@@ -162,14 +160,14 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Subscribe: %v", err)
 	}
-	if err := client.SendReceipt("/t", nil, nil, 5*time.Second); err != nil {
-		t.Fatalf("SendReceipt: %v", err)
+	if err := client.SendImageReceipt(sendImage("/t", nil, nil), 5*time.Second); err != nil {
+		t.Fatalf("SendImageReceipt: %v", err)
 	}
 	if err := client.Unsubscribe(id); err != nil {
 		t.Fatalf("Unsubscribe: %v", err)
 	}
-	if err := client.SendReceipt("/t", nil, nil, 5*time.Second); err != nil {
-		t.Fatalf("SendReceipt 2: %v", err)
+	if err := client.SendImageReceipt(sendImage("/t", nil, nil), 5*time.Second); err != nil {
+		t.Fatalf("SendImageReceipt 2: %v", err)
 	}
 	// The first message may still be in flight; wait for it.
 	deadline := time.Now().Add(2 * time.Second)
@@ -233,12 +231,12 @@ func TestBurstOrderingAndDelivery(t *testing.T) {
 		t.Fatalf("Subscribe: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		if err := client.Send("/t", map[string]string{"seq": strconv.Itoa(i)}, nil); err != nil {
+		if err := client.SendImage(sendImage("/t", map[string]string{"seq": strconv.Itoa(i)}, nil)); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
-	if err := client.SendReceipt("/t", map[string]string{"seq": "last"}, nil, 5*time.Second); err != nil {
-		t.Fatalf("SendReceipt: %v", err)
+	if err := client.SendImageReceipt(sendImage("/t", map[string]string{"seq": "last"}, nil), 5*time.Second); err != nil {
+		t.Fatalf("SendImageReceipt: %v", err)
 	}
 	for i := 0; i < n; i++ {
 		select {
@@ -276,7 +274,7 @@ func TestConcurrentSends(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := client.Send("/t", map[string]string{"k": "v"}, []byte("x")); err != nil {
+			if err := client.SendImage(sendImage("/t", map[string]string{"k": "v"}, []byte("x"))); err != nil {
 				mu.Lock()
 				errCount++
 				mu.Unlock()

@@ -71,19 +71,6 @@ func (s *Session) Send(f *Frame) error {
 	return s.fw.send(outFrame{f: f, flush: frameNeedsFlush(f)})
 }
 
-// SendMessage queues a broadcast MESSAGE frame sharing base's headers and
-// body, with the subscription and message-id (idPrefix + decimal seq)
-// routing headers supplied per delivery and emitted only on the wire.
-// base must be treated as immutable once first passed here; it is never
-// cloned. This is the broker's fan-out path: one marshalled frame, N
-// zero-copy deliveries, one coalesced flush.
-func (s *Session) SendMessage(base *Frame, subscription, idPrefix string, seq uint64) error {
-	if s.closed.Load() {
-		return net.ErrClosed
-	}
-	return s.fw.send(outFrame{f: base, sub: subscription, idPrefix: idPrefix, idSeq: seq})
-}
-
 // SendMessageImage queues a preencoded broadcast MESSAGE image with the
 // subscription and message-id (idPrefix + decimal seq) routing headers
 // supplied per delivery and emitted only on the wire. The image is shared

@@ -35,20 +35,18 @@ func resolveWriteQueueLen(n int) (int, error) {
 	return n, nil
 }
 
-// outFrame pairs a queued frame with its flush class. For broadcast
-// MESSAGE sends, sub/idPrefix/seq carry the per-delivery routing headers
-// so the shared base frame is never cloned; the encoder emits them
-// in-line. When img is set the frame is a preencoded wire image — the
-// hottest path — and only the per-send headers are encoded: the routing
-// headers when sub names a subscription (MESSAGE delivery), or the
-// receipt header when it does not (producer SEND image). payload is an
-// opaque caller handle (the broker's event) reported back if the frame is
-// evicted by a drop-oldest enqueue; it is never touched otherwise.
+// outFrame pairs a queued frame with its flush class. When img is set the
+// frame is a preencoded wire image — the hottest path — and only the
+// per-send headers are encoded: the sub/idPrefix/idSeq routing headers
+// when sub names a subscription (MESSAGE delivery), or the receipt header
+// when it does not (producer SEND image). payload is an opaque caller
+// handle (the broker's event) reported back if the frame is evicted by a
+// drop-oldest enqueue; it is never touched otherwise.
 type outFrame struct {
 	f       *Frame
 	img     *WireImage // non-nil: preencoded image
 	payload any        // opaque handle for eviction reporting
-	sub     string     // non-empty: encode as MESSAGE with routing headers
+	sub     string     // img set, non-empty: MESSAGE routing headers
 	idSeq   uint64
 
 	idPrefix string
@@ -312,8 +310,6 @@ func (fw *frameWriter) write(of outFrame) {
 		err = fw.enc.EncodeImage(fw.bw, of.img, of.sub, of.idPrefix, of.idSeq)
 	case of.img != nil:
 		err = fw.enc.EncodeSendImage(fw.bw, of.img, of.receipt)
-	case of.sub != "":
-		err = fw.enc.EncodeMessage(fw.bw, of.f, of.sub, of.idPrefix, of.idSeq)
 	default:
 		err = fw.enc.Encode(fw.bw, of.f)
 	}
